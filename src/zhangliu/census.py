@@ -1,9 +1,8 @@
 """Census sweeps: order and diagonalizability for every (y, x) over a field.
 
 Rows are enumerated for all y in F and x in F^x, sorted by the canonical
-text forms of (y, x) so output is byte-reproducible across platforms and
-worker counts.  Workers may run in threads; assembly preserves the sorted
-input order, so the result is independent of scheduling.
+text forms of (y, x) so output is byte-reproducible across runs and
+platforms.
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from concurrent.futures import ThreadPoolExecutor
 
 from .fields import Field
 from .orders import oracle_agrees, q_order, q_order_bruteforce
@@ -24,7 +22,6 @@ CSV_HEADER = ["field", "n", "y", "x", "order", "diagonalizable"]
 def census_rows(
     field: Field,
     n: int,
-    jobs: int = 1,
     verify: bool = False,
     cap: int | None = None,
 ) -> tuple[list[dict], list[str]]:
@@ -40,30 +37,19 @@ def census_rows(
         raise ValueError(f"n must be >= 2, got {n}")
     ys = sorted(field.elements(), key=str)
     xs = sorted(field.nonzero_elements(), key=str)
-    pairs = [(y, x) for y in ys for x in xs]
-
-    def work(pair):
-        y, x = pair
-        order = q_order(y, x, n)
-        diag = is_diagonalizable(y, x, n)
-        problems = []
-        if verify:
-            brute = q_order_bruteforce(y, x, n, cap)
-            if not oracle_agrees(order, brute):
-                problems.append(f"order mismatch at (y={y}, x={x}): formula={order}, oracle={brute}")
-            if diag != diagonalizable_oracle(q_matrix(y, x, n)):
-                problems.append(f"diagonalizability mismatch at (y={y}, x={x}): criterion={diag}")
-        row = {"y": str(y), "x": str(x), "order": order.value, "diagonalizable": diag}
-        return row, problems
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(work, pairs))
-    else:
-        results = [work(p) for p in pairs]
-
-    rows = [r for r, _ in results]
-    mismatches = [m for _, problems in results for m in problems]
+    rows: list[dict] = []
+    mismatches: list[str] = []
+    for y in ys:
+        for x in xs:
+            order = q_order(y, x, n)
+            diag = is_diagonalizable(y, x, n)
+            if verify:
+                brute = q_order_bruteforce(y, x, n, cap)
+                if not oracle_agrees(order, brute):
+                    mismatches.append(f"order mismatch at (y={y}, x={x}): formula={order}, oracle={brute}")
+                if diag != diagonalizable_oracle(q_matrix(y, x, n)):
+                    mismatches.append(f"diagonalizability mismatch at (y={y}, x={x}): criterion={diag}")
+            rows.append({"y": str(y), "x": str(x), "order": order.value, "diagonalizable": diag})
     return rows, mismatches
 
 

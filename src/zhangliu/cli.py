@@ -116,10 +116,12 @@ def cmd_factorize(args) -> int:
             )
         return EXIT_NOT_DIAGONALIZABLE
     dec = factorize_q(y, x, args.n)
-    verified = verify_factorization(dec)
     if args.format == "json":
-        print(json.dumps(dec.to_json(), indent=2))
+        payload = dec.to_json()
+        verified = payload["verified"]
+        print(json.dumps(payload, indent=2))
     else:
+        verified = verify_factorization(dec)
         print(f"field: {field.spec()}")
         print(f"n: {args.n}")
         print(f"y = {y}")
@@ -175,7 +177,7 @@ def cmd_census(args) -> int:
     if args.n < 2:
         _err("n must be >= 2")
         return EXIT_PRECONDITION
-    rows, mismatches = census_rows(field, args.n, jobs=args.jobs, verify=args.verify, cap=args.cap)
+    rows, mismatches = census_rows(field, args.n, verify=args.verify, cap=args.cap)
     if args.format == "csv":
         sys.stdout.write(census_csv(field, args.n, rows))
     elif args.format == "json":
@@ -242,7 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--format", default="table", choices=["table", "csv", "json"])
     p.add_argument("--verify", action="store_true", help="check every row against the oracles")
-    p.add_argument("--jobs", type=int, default=1, help="worker threads (output is identical)")
+    p.add_argument(
+        "--jobs", type=int, default=1, help="accepted for compatibility; no effect (output is identical for every value)"
+    )
     p.add_argument("--cap", type=int, default=None)
     p.set_defaults(func=cmd_census)
 

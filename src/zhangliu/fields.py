@@ -155,8 +155,9 @@ def _is_irreducible(f: Sequence[int], p: int) -> bool:
 
 
 def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
-    # scan monic degree-k polynomials in lexicographic order of (c0,...,c_{k-1})
-    for tail in itertools.product(range(p), repeat=k):
+    # scan monic degree-k polynomials in lexicographic order of (c0,...,c_{k-1});
+    # c0 = 0 is skipped: t divides those, so none is irreducible for k >= 2
+    for tail in itertools.product(range(1, p), *[range(p)] * (k - 1)):
         f = list(tail) + [1]
         if _is_irreducible(f, p):
             return tuple(f)
@@ -294,12 +295,13 @@ def make_extension_field(p: int, k: int, modulus: Sequence[int] | None = None) -
     modulus (ascending coefficients, length k+1, monic) is validated for
     irreducibility.
     """
-    if not _is_prime(p):
-        raise NotPrime(f"{p} is not prime")
     if k < 2:
         raise ValueError(f"extension degree must be >= 2, got {k}")
-    if p**k > MAX_FIELD_ORDER:
+    # bound p and k before p**k and the primality test, which grow with them
+    if p > MAX_FIELD_ORDER or k > MAX_FIELD_ORDER.bit_length() or p**k > MAX_FIELD_ORDER:
         raise FieldTooLarge(f"field order {p}^{k} exceeds ceiling {MAX_FIELD_ORDER}")
+    if not _is_prime(p):
+        raise NotPrime(f"{p} is not prime")
     if modulus is None:
         mod = _smallest_irreducible(p, k)
     else:

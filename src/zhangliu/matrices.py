@@ -15,47 +15,24 @@ elimination over the field.
 
 from __future__ import annotations
 
-import threading
+import math
 from typing import Sequence
 
 from .errors import DimensionMismatch, MixedFields, ZeroParameter
 from .fields import Field, FieldElement, parse_element, parse_field_spec
 
-_pascal_lock = threading.Lock()
-_pascal_cache: dict[Field, tuple[tuple[FieldElement, ...], ...]] = {}
-
 
 def binomial(m: int, r: int, field: Field) -> FieldElement:
     """Image of C(m, r) in the field; zero when r < 0 or r > m.
 
-    Rows of Pascal's triangle are built by the additive recurrence entirely
-    inside the field (no integer division, so characteristic p needs no
-    special casing) and cached per field.  Readers only ever see complete
-    immutable row snapshots, so cache hits take no lock.
+    The integer C(m, r) is mapped into the field by Z -> F, which is exact
+    for every field kind (in characteristic p it reduces mod p).
     """
     if m < 0:
         raise ValueError(f"binomial requires m >= 0, got {m}")
     if r < 0 or r > m:
         return field.zero()
-    rows = _pascal_cache.get(field)
-    if rows is None or m >= len(rows):
-        rows = _extend_pascal_rows(m, field)
-    return rows[m][r]
-
-
-def _extend_pascal_rows(m: int, field: Field) -> tuple[tuple[FieldElement, ...], ...]:
-    with _pascal_lock:
-        rows = list(_pascal_cache.get(field, ()))
-        if not rows:
-            rows.append((field.one(),))
-        zero = field.zero()
-        while len(rows) <= m:
-            prev = rows[-1]
-            padded = (zero,) + prev + (zero,)
-            rows.append(tuple(padded[i] + padded[i + 1] for i in range(len(prev) + 1)))
-        snapshot = tuple(rows)
-        _pascal_cache[field] = snapshot
-        return snapshot
+    return field.element(math.comb(m, r))
 
 
 class SquareMatrix:
@@ -222,33 +199,13 @@ def _powers(a: FieldElement, count: int) -> list[FieldElement]:
 
 
 def p1_matrix(y: FieldElement, n: int) -> SquareMatrix:
-    """Generalized Pascal matrix of the first kind; unit upper triangular."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    f = y.field
-    zero = f.zero()
-    ypow = _powers(y, n)
-    rows = [
-        [ypow[j - i] * binomial(j, i, f) if j >= i else zero for j in range(n)]
-        for i in range(n)
-    ]
-    return SquareMatrix(f, rows)
+    """Generalized Pascal matrix of the first kind, q_matrix(y, 1, n); unit upper triangular."""
+    return q_matrix(y, y.field.one(), n)
 
 
 def p2_matrix(x: FieldElement, n: int) -> SquareMatrix:
-    """Pascal matrix of the second kind; requires x != 0."""
-    if x.is_zero():
-        raise ZeroParameter("x must be nonzero")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    f = x.field
-    zero = f.zero()
-    xpow = _powers(x, 2 * n - 1)
-    rows = [
-        [xpow[j + i] * binomial(j, i, f) if j >= i else zero for j in range(n)]
-        for i in range(n)
-    ]
-    return SquareMatrix(f, rows)
+    """Pascal matrix of the second kind, q_matrix(1, x, n); requires x != 0."""
+    return q_matrix(x.field.one(), x, n)
 
 
 def q_matrix(y: FieldElement, x: FieldElement, n: int) -> SquareMatrix:

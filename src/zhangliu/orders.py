@@ -21,7 +21,7 @@ its own outcome and is never folded into "infinite".
 
 from __future__ import annotations
 
-from .errors import ZeroParameter
+from .errors import MixedFields, ZeroParameter
 from .fields import FieldElement, OrderResult, multiplicative_order
 from .matrices import identity, q_matrix
 
@@ -37,6 +37,8 @@ def q_order(y: FieldElement, x: FieldElement, n: int) -> OrderResult:
     """Closed-form order of q_matrix(y, x, n); independent of n."""
     _check_params(x, n)
     f = x.field
+    if y.field is not f and y.field != f:
+        raise MixedFields("y and x must share a field")
     x2 = x * x
     if x2 != f.one():
         return multiplicative_order(x2)
@@ -80,28 +82,13 @@ def q_order_bruteforce(
 
 
 def p1_order(y: FieldElement, n: int) -> OrderResult:
-    """Order of p1_matrix(y, n): 1 for y = 0, else the characteristic,
-    infinite in characteristic 0 (powers follow p1(y)^m = p1(m*y))."""
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    if y.is_zero():
-        return OrderResult.finite(1)
-    if y.field.characteristic:
-        return OrderResult.finite(y.field.characteristic)
-    return OrderResult.infinite()
+    """Order of p1_matrix(y, n), that is q_order(y, 1, n)."""
+    return q_order(y, y.field.one(), n)
 
 
 def p2_order(x: FieldElement, n: int) -> OrderResult:
-    """Order of p2_matrix(x, n): the order of x^2 when x^2 != 1, else the
-    characteristic (infinite in characteristic 0)."""
-    _check_params(x, n)
-    f = x.field
-    x2 = x * x
-    if x2 != f.one():
-        return multiplicative_order(x2)
-    if f.characteristic:
-        return OrderResult.finite(f.characteristic)
-    return OrderResult.infinite()
+    """Order of p2_matrix(x, n), that is q_order(1, x, n)."""
+    return q_order(x.field.one(), x, n)
 
 
 def oracle_agrees(formula: OrderResult, oracle: OrderResult) -> bool:

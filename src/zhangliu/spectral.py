@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotTriangular, SingularParameter, ZeroParameter
+from .errors import MixedFields, NotTriangular, SingularParameter, ZeroParameter
 from .fields import FieldElement
 from .matrices import SquareMatrix, d_matrix, p1_matrix, q_matrix
 
@@ -118,6 +118,8 @@ def is_diagonalizable(y: FieldElement, x: FieldElement, n: int) -> bool:
     if x.is_zero():
         raise ZeroParameter("x must be nonzero")
     _require_n_at_least_2(n)
+    if y.field is not x.field and y.field != x.field:
+        raise MixedFields("y and x must share a field")
     return x * x != x.field.one() or y.is_zero()
 
 

@@ -207,7 +207,7 @@ def test_a8_census_csv_reproducible(capsys):
         out = capsys.readouterr().out
         return code, out
 
-    # gf:3, two runs and 1 vs 8 threads: byte identical
+    # gf:3, two runs and --jobs 1 vs 8: byte identical
     outputs = []
     for jobs in ("1", "1", "8"):
         code, out = census_csv("census", "--field", "gf:3", "--n", "2", "--format", "csv", "--jobs", jobs)
@@ -215,17 +215,17 @@ def test_a8_census_csv_reproducible(capsys):
             failures.append(f"census gf:3 exited {code}")
         outputs.append(out)
     if not (outputs[0] == outputs[1] == outputs[2]):
-        failures.append("census gf:3 CSV not byte-identical across runs/threads")
+        failures.append("census gf:3 CSV not byte-identical across runs/--jobs values")
     expected_orders = {("0", "1"): 1, ("1", "1"): 3, ("2", "1"): 3, ("0", "2"): 1, ("1", "2"): 3, ("2", "2"): 3}
     rows = list(csv.reader(io.StringIO(outputs[0])))[1:]
     if {(r[2], r[3]): int(r[4]) for r in rows} != expected_orders:
         failures.append("census gf:3 orders wrong")
 
-    # gf:5: x = 2 rows all have order 2, reproducible across thread counts
+    # gf:5: x = 2 rows all have order 2, reproducible across --jobs values
     a = census_csv("census", "--field", "gf:5", "--n", "2", "--format", "csv", "--jobs", "1")[1]
     b = census_csv("census", "--field", "gf:5", "--n", "2", "--format", "csv", "--jobs", "6")[1]
     if a != b:
-        failures.append("census gf:5 CSV not byte-identical across thread counts")
+        failures.append("census gf:5 CSV not byte-identical across --jobs values")
     x2 = [r for r in list(csv.reader(io.StringIO(a)))[1:] if r[3] == "2"]
     if len(x2) != 5 or any(int(r[4]) != 2 for r in x2):
         failures.append("census gf:5 x=2 rows should all have order 2")

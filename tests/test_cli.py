@@ -108,6 +108,26 @@ def test_factorize_json(capsys):
     assert payload["right"] == [["1", "5"], ["0", "1"]]
 
 
+def test_factorize_json_verifies_once(capsys, monkeypatch):
+    import zhangliu.cli
+    import zhangliu.spectral
+
+    calls = []
+    real = zhangliu.spectral.verify_factorization
+
+    def counting(dec):
+        calls.append(dec)
+        return real(dec)
+
+    for module in (zhangliu.spectral, zhangliu.cli):
+        monkeypatch.setattr(module, "verify_factorization", counting)
+    code, out, _ = run_cli(
+        capsys, "factorize", "--field", "gf:7", "--y", "3", "--x", "2", "--n", "3", "--format", "json"
+    )
+    assert code == 0 and json.loads(out)["verified"] is True
+    assert len(calls) == 1
+
+
 def test_order_with_oracle(capsys):
     code, out, _ = run_cli(capsys, "order", "--field", "gf:7", "--y", "3", "--x", "2", "--n", "2", "--oracle")
     assert code == 0

@@ -2,6 +2,8 @@
 
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -51,6 +53,27 @@ def test_make_extension_field_explicit_modulus():
         make_extension_field(3, 1)
     with pytest.raises(ValueError):
         make_extension_field(3, 2, [1, 0, 2])  # not monic
+
+
+@pytest.mark.parametrize(
+    "spec,expected",
+    [
+        ("gf:2^40", "gf:2^40:m=1,"),
+        # p = 2^61 - 1 is prime, so trial division would run for hours
+        ("gf:2305843009213693951^2", "exceeds ceiling"),
+        ("gf:3^20000000", "exceeds ceiling"),
+    ],
+)
+def test_specs_at_and_over_the_size_cap_resolve_fast(spec, expected):
+    # the cap promises fast construction or fast rejection; a subprocess bounds the wait
+    code = (
+        "import sys\n"
+        "from zhangliu import ParseError, parse_field_spec\n"
+        "try:\n    print(parse_field_spec(sys.argv[1]).spec())\n"
+        "except ParseError as e:\n    print(e)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, spec], capture_output=True, text=True, timeout=5)
+    assert expected in proc.stdout
 
 
 def test_auto_modulus_is_deterministic_lexicographic():

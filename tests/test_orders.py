@@ -6,10 +6,12 @@ from fractions import Fraction
 import pytest
 
 from zhangliu import (
+    MixedFields,
     OrderResult,
     ZeroParameter,
     factor_integer,
     identity,
+    is_diagonalizable,
     make_extension_field,
     make_prime_field,
     make_rational_field,
@@ -183,3 +185,19 @@ def test_element_order_reuse():
         if x2 == f13.one():
             continue
         assert q_order(f13.element(0), x, 3) == multiplicative_order(x2)
+
+
+@pytest.mark.parametrize("closed_form", [q_matrix, q_order, is_diagonalizable])
+def test_closed_forms_reject_mixed_fields(closed_form):
+    # the closed forms enforce the same precondition as the matrix they describe
+    f9 = make_extension_field(3, 2)
+    pairs = [
+        (GF(5).element(2), GF(7).element(3)),
+        (GF(3).element(1), f9.element([0, 1])),
+        (QQ.one(), GF(5).element(2)),
+    ]
+    for y, x in pairs:
+        with pytest.raises(MixedFields):
+            closed_form(y, x, 2)
+    # equal fields built separately are the same field
+    closed_form(f9.one(), make_extension_field(3, 2).element([0, 1]), 2)
