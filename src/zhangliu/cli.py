@@ -154,6 +154,9 @@ def cmd_order(args) -> int:
             print(formula)
         return EXIT_OK
     cap = args.cap
+    if cap is not None and cap < 1:
+        _err("cap must be >= 1")
+        return EXIT_PRECONDITION
     if cap is None and not field.is_finite:
         cap = 1000
     brute = q_order_bruteforce(y, x, args.n, cap)
@@ -177,18 +180,16 @@ def cmd_census(args) -> int:
     if args.n < 2:
         _err("n must be >= 2")
         return EXIT_PRECONDITION
-    rows, mismatches = census_rows(field, args.n, verify=args.verify, cap=args.cap)
-    if args.format == "csv":
-        sys.stdout.write(census_csv(field, args.n, rows))
-    elif args.format == "json":
-        print(census_json(field, args.n, rows))
-    else:
-        print(census_table(field, args.n, rows))
-    if mismatches:
-        for m in mismatches:
-            _err(m)
-        return EXIT_FAILURE
-    return EXIT_OK
+    if args.verify and args.cap is not None and args.cap < 1:
+        _err("cap must be >= 1")
+        return EXIT_PRECONDITION
+    mismatches: list[str] = []
+    rows = census_rows(field, args.n, mismatches if args.verify else None, args.cap)
+    render = {"csv": census_csv, "json": census_json, "table": census_table}[args.format]
+    render(rows, sys.stdout)
+    for m in mismatches:
+        _err(m)
+    return EXIT_FAILURE if mismatches else EXIT_OK
 
 
 def cmd_selftest(args) -> int:

@@ -223,6 +223,34 @@ def test_census_table_format(capsys):
     assert out.splitlines()[0].split() == ["y", "x", "order", "diag"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["order", "--field", "gf:5", "--y", "1", "--x", "2", "--n", "2", "--oracle", "--cap", "0"],
+        ["order", "--field", "qq", "--y", "1", "--x", "2", "--n", "2", "--oracle", "--cap=-3"],
+        ["census", "--field", "gf:5", "--n", "2", "--verify", "--cap", "0"],
+        ["census", "--field", "gf:3", "--n", "2", "--verify", "--cap=-1", "--format", "json"],
+    ],
+)
+def test_cap_below_one_is_a_precondition_violation_before_any_output(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err == "error: cap must be >= 1\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["order", "--field", "gf:5", "--y", "1", "--x", "2", "--n", "2", "--cap", "0"],
+        ["census", "--field", "gf:3", "--n", "2", "--cap", "0"],
+    ],
+)
+def test_unused_cap_is_not_checked(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out
+
+
 def test_exit_code_2_for_unknown_flag(capsys):
     assert main(["matrix", "--bogus"]) == 2
     capsys.readouterr()
