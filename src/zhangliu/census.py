@@ -23,12 +23,12 @@ import csv
 import io
 import json
 from collections.abc import Iterator
-from dataclasses import dataclass
 from typing import TextIO
 
 from .fields import Field, OrderResult
 from .matrices import q_matrix
 from .orders import oracle_agrees, q_order, q_order_bruteforce
+from .records import Record
 from .spectral import diagonalizable_oracle, is_diagonalizable
 
 CSV_HEADER = ["field", "n", "y", "x", "order", "diagonalizable"]
@@ -36,8 +36,7 @@ CSV_HEADER = ["field", "n", "y", "x", "order", "diagonalizable"]
 Row = tuple[str, str, int, bool]
 
 
-@dataclass(frozen=True)
-class CensusRows:
+class CensusRows(Record):
     """The rows of one census, produced once and lazily, one block per y.
 
     Iterating yields, for each y in sorted order, the list of its rows
@@ -47,12 +46,18 @@ class CensusRows:
     that side of the test.
     """
 
-    field: Field
-    n: int
-    ys: list[str]
-    xs: list[str]
-    table: dict[bool, list[tuple[OrderResult, bool]]]
-    blocks: Iterator[list[Row]]
+    __slots__ = ("field", "n", "ys", "xs", "table", "blocks")
+
+    def __init__(
+        self,
+        field: Field,
+        n: int,
+        ys: list[str],
+        xs: list[str],
+        table: dict[bool, list[tuple[OrderResult, bool]]],
+        blocks: Iterator[list[Row]],
+    ):
+        super().__init__(field, n, ys, xs, table, blocks)
 
     def __iter__(self) -> Iterator[list[Row]]:
         return self.blocks

@@ -8,11 +8,17 @@ over a finite field) and ``selftest`` (packaged invariant suites).
 Exit codes: 0 ok, 1 selftest or cross-check failure, 2 parse error,
 3 precondition violation, 4 factorization refused because the matrix is
 not diagonalizable (or x^2 = 1), 5 census over an infinite field.
+
+Start-up: ``main`` builds its argparse parser on its first call and reuses
+it for every later call in the process, and it finds the handler of a
+subcommand by name (``cmd_<subcommand>``) at call time.  ``selftest`` is
+imported only when the ``selftest`` subcommand runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -27,7 +33,6 @@ from .errors import (
 from .fields import parse_element, parse_field_spec
 from .matrices import SquareMatrix, d_matrix, matrix_to_json, p1_matrix, p2_matrix, q_matrix
 from .orders import oracle_agrees, q_order, q_order_bruteforce
-from .selftest import run_all
 from .spectral import factorize_q, verify_factorization
 
 EXIT_OK = 0
@@ -193,6 +198,8 @@ def cmd_census(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from .selftest import run_all
+
     reports = run_all()
     width = max(len(r.name) for r in reports)
     failed = False
@@ -220,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", required=True, help="one element, or two comma-separated for kind q")
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--format", default="table", choices=["table", "csv", "json"])
-    p.set_defaults(func=cmd_matrix)
 
     p = sub.add_parser("factorize", help="eigen-decomposition of q_matrix(y, x, n)")
     p.add_argument("--field", required=True)
@@ -228,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", required=True)
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--format", default="table", choices=["table", "json"])
-    p.set_defaults(func=cmd_factorize)
 
     p = sub.add_parser("order", help="order of q_matrix(y, x, n)")
     p.add_argument("--field", required=True)
@@ -238,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", action="store_true", help="also run the brute-force oracle")
     p.add_argument("--cap", type=int, default=None, help="brute-force cap (default 1000 over qq)")
     p.add_argument("--format", default="table", choices=["table", "json"])
-    p.set_defaults(func=cmd_order)
 
     p = sub.add_parser("census", help="order and diagonalizability for every (y, x)")
     p.add_argument("--field", required=True)
@@ -249,22 +253,25 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", type=int, default=1, help="accepted for compatibility; no effect (output is identical for every value)"
     )
     p.add_argument("--cap", type=int, default=None)
-    p.set_defaults(func=cmd_census)
 
-    p = sub.add_parser("selftest", help="run the packaged invariant suites")
-    p.set_defaults(func=cmd_selftest)
+    sub.add_parser("selftest", help="run the packaged invariant suites")
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process, built by the first call of ``main``."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except ParseError as e:
         _err(str(e))
         return EXIT_PARSE

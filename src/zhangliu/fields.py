@@ -20,7 +20,6 @@ Field spec grammar: ``gf:p`` | ``gf:p^k`` (auto modulus) |
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -33,6 +32,7 @@ from .errors import (
     Reducible,
     ZeroElement,
 )
+from .records import Record
 
 PRIME = "prime"
 EXTENSION = "extension"
@@ -185,18 +185,19 @@ def _mulmod(a: tuple[int, ...], b: tuple[int, ...], modulus: tuple[int, ...], p:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Field:
+class Field(Record):
     """Descriptor of an exact field: GF(p), GF(p^k), or the rationals.
 
     Two fields compare equal iff kind, characteristic, degree and modulus
     all match.  Instances are immutable and hashable.
     """
 
-    kind: str
-    characteristic: int
-    extension_degree: int = 1
-    modulus: tuple[int, ...] | None = None
+    __slots__ = ("kind", "characteristic", "extension_degree", "modulus")
+
+    def __init__(
+        self, kind: str, characteristic: int, extension_degree: int = 1, modulus: tuple[int, ...] | None = None
+    ):
+        super().__init__(kind, characteristic, extension_degree, modulus)
 
     @property
     def order(self) -> int | None:
@@ -462,16 +463,17 @@ def multiplicative_order(a: FieldElement) -> OrderResult:
     return OrderResult.finite(m)
 
 
-@dataclass(frozen=True)
-class OrderResult:
+class OrderResult(Record):
     """Multiplicative order of an element or matrix.
 
     kind is "finite" (value = the order), "infinite", or "exceeded"
     (value = the search cap a brute-force scan gave up at).
     """
 
-    kind: str
-    value: int | None = None
+    __slots__ = ("kind", "value")
+
+    def __init__(self, kind: str, value: int | None = None):
+        super().__init__(kind, value)
 
     @classmethod
     def finite(cls, m: int) -> OrderResult:

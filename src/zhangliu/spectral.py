@@ -16,11 +16,10 @@ The two-sided test x^2 != 1 is used instead of comparing x against 1 and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import MixedFields, NotTriangular, SingularParameter, ZeroParameter
 from .fields import FieldElement
 from .matrices import SquareMatrix, d_matrix, p1_matrix, q_matrix
+from .records import Record
 
 
 def _require_n_at_least_2(n: int) -> None:
@@ -39,21 +38,26 @@ def z_parameter(y: FieldElement, x: FieldElement) -> FieldElement:
     return y * x * (x2 - one).inv()
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Record):
     """The similarity triple left * middle * right for q_matrix(y, x, n).
 
     left = p1_matrix(z, n), middle = d_matrix(x^2, n),
     right = p1_matrix(-z, n) = left^-1.
     """
 
-    z: FieldElement
-    left: SquareMatrix
-    middle: SquareMatrix
-    right: SquareMatrix
-    source_y: FieldElement
-    source_x: FieldElement
-    n: int
+    __slots__ = ("z", "left", "middle", "right", "source_y", "source_x", "n")
+
+    def __init__(
+        self,
+        z: FieldElement,
+        left: SquareMatrix,
+        middle: SquareMatrix,
+        right: SquareMatrix,
+        source_y: FieldElement,
+        source_x: FieldElement,
+        n: int,
+    ):
+        super().__init__(z, left, middle, right, source_y, source_x, n)
 
     def to_json(self) -> dict:
         return {

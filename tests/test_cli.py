@@ -270,3 +270,78 @@ def test_selftest_command(capsys):
     code, out, _ = run_cli(capsys, "selftest")
     assert code == 0
     assert "selftest: PASS" in out
+
+
+ORDER = ["order", "--field", "gf:5", "--y", "1", "--x", "2", "--n", "3"]
+
+# argv -> exit code of the argparse error and help paths
+ARGPARSE_PATHS = [
+    (["order", "--y", "1", "--x", "2", "--n", "3"], 2),  # missing --field
+    ([*ORDER, "--format", "xml"], 2),  # bad --format choice
+    (["frobnicate"], 2),  # unknown subcommand
+    ([], 2),  # no subcommand
+    (["--help"], 0),
+    (["census", "--help"], 0),
+]
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    import argparse
+
+    import zhangliu.cli
+
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    zhangliu.cli._parser.cache_clear()
+    assert main(ORDER) == 0
+    assert len(built) == 6  # the top-level parser and one per subcommand
+    built.clear()
+    for argv, _ in [(ORDER, 0), *ARGPARSE_PATHS]:
+        main(list(argv))
+    run_cli(capsys, "census", "--field", "gf:3", "--n", "2")
+    assert built == []
+
+
+@pytest.mark.parametrize(
+    "argv, code", ARGPARSE_PATHS, ids=["no-field", "bad-format", "unknown", "empty", "help", "sub-help"]
+)
+def test_argparse_paths_repeat_byte_for_byte(capsys, argv, code):
+    first = run_cli(capsys, *argv)
+    assert first[0] == code
+    assert (first[1] if code == 0 else first[2]).startswith("usage: zhangliu")
+    if code == 2:
+        assert first[1] == "" and "error:" in first[2]
+    for _ in range(2):
+        assert run_cli(capsys, *argv) == first
+    assert run_cli(capsys, *ORDER) == (0, "2\n", "")
+
+
+def test_a_patched_handler_is_the_one_that_runs(capsys, monkeypatch):
+    import zhangliu.cli
+
+    assert main(ORDER) == 0  # the parser exists before the patch
+    seen = []
+    monkeypatch.setattr(zhangliu.cli, "cmd_order", lambda args: seen.append(args.x) or 7)
+    assert main(ORDER) == 7
+    assert seen == ["2"]
+    capsys.readouterr()
+
+
+def test_importing_the_cli_loads_no_selftest_dataclasses_or_inspect():
+    import os
+
+    import zhangliu
+
+    probe = (
+        "import sys; before = set(sys.modules); import zhangliu.cli; "
+        "print(sorted({'zhangliu.selftest', 'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(zhangliu.__file__)))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip() == "[]"

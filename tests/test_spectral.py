@@ -1,12 +1,12 @@
 """Factorization, eigenpairs, and the diagonalizability criterion vs oracle."""
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from zhangliu import (
+    Decomposition,
     NotTriangular,
     SingularParameter,
     SquareMatrix,
@@ -93,17 +93,17 @@ def test_factorize_preconditions():
 def test_verify_rejects_tampered_decomposition():
     f5 = GF(5)
     d = factorize_q(f5.element(1), f5.element(2), 3)
-    tampered = replace(d, middle=identity(f5, 3))
+    tampered = Decomposition(d.z, d.left, identity(f5, 3), d.right, d.source_y, d.source_x, d.n)
     assert verify_factorization(d)
     assert not verify_factorization(tampered)
     f7 = GF(7)
     d = factorize_q(f7.zero(), f7.element(3), 4)
     assert d.middle == d_matrix(f7.element(2), 4)  # 3^2 = 2 mod 7
     assert verify_factorization(d)
-    flipped = replace(d, z=-d.z, left=p1_matrix(-d.z, 4), right=p1_matrix(d.z, 4))
+    flipped = Decomposition(-d.z, p1_matrix(-d.z, 4), d.middle, p1_matrix(d.z, 4), d.source_y, d.source_x, d.n)
     assert verify_factorization(flipped)  # z = 0 here, sign flip is harmless
     d2 = factorize_q(f7.element(1), f7.element(3), 4)
-    bad = replace(d2, left=p1_matrix(-d2.z, 4), right=p1_matrix(d2.z, 4))
+    bad = Decomposition(d2.z, p1_matrix(-d2.z, 4), d2.middle, p1_matrix(d2.z, 4), d2.source_y, d2.source_x, d2.n)
     assert not verify_factorization(bad)
 
 
