@@ -73,8 +73,7 @@ def _print_matrix(mat: SquareMatrix, fmt: str) -> None:
         import csv
 
         writer = csv.writer(sys.stdout, lineterminator="\n")
-        for row in mat.rows:
-            writer.writerow([str(e) for e in row])
+        writer.writerows(mat.texts())
     else:
         print(mat)
 

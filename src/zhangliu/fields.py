@@ -13,6 +13,19 @@ Elements are immutable and support ``+ - * / ** ==``; all arithmetic is
 exact.  ``a ** 0`` is one for every ``a`` including zero.  Text forms are
 canonical: ``str(element)`` round-trips through ``parse_element``.
 
+Each field holds one arithmetic kernel for its kind, which works on those
+raw values: ``add``, ``sub``, ``neg``, ``mul``, ``inv``, ``pow``,
+``is_zero``, ``text`` and ``dot(row, col)``.  FieldElement's operators
+unwrap, call it and wrap the result; the matrix layer calls it on raw rows
+without wrapping.  A dot product skips the terms with a zero factor:
+
+* prime: ints reduced by ``% p``; a dot product sums the products and
+  reduces once.
+* extension: schoolbook products reduced by the modulus; the inverse by
+  extended Euclid in GF(p)[t]; a dot product by Kronecker substitution
+  (see ``_ExtensionKernel``), reduced by the modulus once.
+* rational: ``Fraction`` arithmetic; a dot product sums the products.
+
 Field spec grammar: ``gf:p`` | ``gf:p^k`` (auto modulus) |
 ``gf:p^k:m=c0,c1,...,ck`` (explicit ascending modulus) | ``qq``.
 """
@@ -20,6 +33,7 @@ Field spec grammar: ``gf:p`` | ``gf:p^k`` (auto modulus) |
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -89,69 +103,42 @@ def _poly_trim(a: Sequence[int]) -> list[int]:
     return a
 
 
-def _poly_rem(a: Sequence[int], f: Sequence[int], p: int) -> list[int]:
-    # remainder of a modulo f (f nonzero, trimmed)
-    a = [c % p for c in a]
-    lead_inv = pow(f[-1], -1, p)
-    df = len(f) - 1
-    while len(_poly_trim(a)) - 1 >= df:
-        a = _poly_trim(a)
-        shift = len(a) - 1 - df
-        c = a[-1] * lead_inv % p
-        for i, fi in enumerate(f):
-            a[shift + i] = (a[shift + i] - c * fi) % p
-    return _poly_trim(a)
-
-
-def _poly_mul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
-
-
-def _poly_gcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    a, b = _poly_trim(a), _poly_trim(b)
-    while b:
-        a, b = b, _poly_rem(a, b, p)
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [c * inv % p for c in a]
-    return a
-
-
-def _poly_powmod(base: Sequence[int], e: int, f: Sequence[int], p: int) -> list[int]:
-    result = [1]
-    base = _poly_rem(base, f, p)
-    while e:
-        if e & 1:
-            result = _poly_rem(_poly_mul(result, base, p), f, p)
-        base = _poly_rem(_poly_mul(base, base, p), f, p)
-        e >>= 1
-    return result
+def _poly_xgcd(a: Sequence[int], f: Sequence[int], p: int) -> tuple[list[int], list[int]]:
+    """(g, s) with g a gcd of a and f and s*a = g mod f, by extended Euclid
+    on the rows (r, s) of s*a = r mod f."""
+    r0, s0 = _poly_trim(f), []
+    r1, s1 = _poly_trim(a), [1]
+    while r1:
+        lead_inv = pow(r1[-1], -1, p)
+        while len(r0) >= len(r1):
+            c = r0[-1] * lead_inv % p
+            shift = len(r0) - len(r1)
+            for i, v in enumerate(r1):
+                r0[shift + i] = (r0[shift + i] - c * v) % p
+            s0 += [0] * (shift + len(s1) - len(s0))
+            for i, v in enumerate(s1):
+                s0[shift + i] = (s0[shift + i] - c * v) % p
+            r0 = _poly_trim(r0)
+        r0, s0, r1, s1 = r1, s1, r0, s0
+    return r0, _poly_trim(s0)
 
 
 def _is_irreducible(f: Sequence[int], p: int) -> bool:
-    """Rabin test: x^(p^k) = x mod f, and gcd(x^(p^(k/l)) - x, f) = 1 for
-    every prime l dividing k."""
+    """Rabin test for a monic f: x^(p^k) = x mod f, and gcd(x^(p^(k/l)) - x, f) = 1
+    for every prime l dividing k.  The powers are taken in GF(p)[t]/(f)."""
     f = _poly_trim([c % p for c in f])
     k = len(f) - 1
     if k < 1:
         return False
     if k == 1:
         return True
-    x = [0, 1]
+    ring = _ExtensionKernel(p, f)
+    x = (0, 1) + (0,) * (k - 2)
     for ell in sorted(set(factor_integer(k))):
-        h = _poly_powmod(x, p ** (k // ell), f, p)
-        diff = _poly_trim([(hc - xc) % p for hc, xc in itertools.zip_longest(h, x, fillvalue=0)])
-        if len(_poly_gcd(diff, f, p)) != 1:
+        gcd, _ = _poly_xgcd(ring.sub(ring.pow(x, p ** (k // ell)), x), f, p)
+        if len(gcd) != 1:
             return False
-    h = _poly_powmod(x, p**k, f, p)
-    return _poly_trim([(hc - xc) % p for hc, xc in itertools.zip_longest(h, x, fillvalue=0)]) == []
+    return ring.pow(x, p**k) == x
 
 
 def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
@@ -164,22 +151,153 @@ def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
     raise AssertionError("no irreducible polynomial found")  # cannot happen
 
 
-def _mulmod(a: tuple[int, ...], b: tuple[int, ...], modulus: tuple[int, ...], p: int) -> tuple[int, ...]:
-    # product of two length-k coefficient tuples reduced by the monic modulus
-    k = len(a)
-    conv = [0] * (2 * k - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                conv[i + j] = (conv[i + j] + ai * bj) % p
-    for d in range(2 * k - 2, k - 1, -1):
-        c = conv[d]
-        if c:
-            conv[d] = 0
-            off = d - k
-            for t in range(k):
-                conv[off + t] = (conv[off + t] - c * modulus[t]) % p
-    return tuple(conv[:k])
+# ---------------------------------------------------------------------------
+# arithmetic kernels: one per field kind, on the raw values FieldElement.value
+# holds.  FieldElement's operators and the matrix layer both call them.
+
+
+class _PrimeKernel:
+    """GF(p) on ints in [0, p)."""
+
+    __slots__ = ("p",)
+    zero, one = 0, 1
+    text = str
+
+    def __init__(self, p: int):
+        self.p = p
+
+    def is_zero(self, a: int) -> bool:
+        return a == 0
+
+    def add(self, a: int, b: int) -> int:
+        return (a + b) % self.p
+
+    def sub(self, a: int, b: int) -> int:
+        return (a - b) % self.p
+
+    def neg(self, a: int) -> int:
+        return -a % self.p
+
+    def mul(self, a: int, b: int) -> int:
+        return a * b % self.p
+
+    def inv(self, a: int) -> int:
+        return pow(a, -1, self.p)
+
+    def pow(self, a: int, e: int) -> int:
+        return pow(a, e, self.p)
+
+    def dot(self, row, col) -> int:
+        return sum([a * b for a, b in zip(row, col) if a and b]) % self.p
+
+
+class _RationalKernel:
+    """QQ on reduced Fractions."""
+
+    __slots__ = ()
+    zero, one = Fraction(0), Fraction(1)
+    text = str
+    add, sub, neg, mul, pow = operator.add, operator.sub, operator.neg, operator.mul, operator.pow
+
+    def is_zero(self, a: Fraction) -> bool:
+        return not a
+
+    def inv(self, a: Fraction) -> Fraction:
+        return 1 / a
+
+    def dot(self, row, col) -> Fraction:
+        return sum((a * b for a, b in zip(row, col) if a and b), self.zero)
+
+
+class _ExtensionKernel:
+    """GF(p)[t]/(f) for a monic f of degree k, on length-k coefficient tuples.
+
+    ``dot`` uses Kronecker substitution: each tuple is packed into one int
+    with ``(n*k*(p-1)**2).bit_length()`` bits per coefficient, so the
+    product of two packed ints holds the coefficients of the polynomial
+    product, each slot a sum of at most k terms of at most (p-1)**2.  A dot
+    product of length n adds n such products, so no slot exceeds
+    n*k*(p-1)**2, which fits its width: no slot carries into the next.  The
+    sum is unpacked and reduced by the modulus once.
+    """
+
+    __slots__ = ("p", "k", "modulus", "zero", "one")
+
+    def __init__(self, p: int, modulus: Sequence[int]):
+        k = len(modulus) - 1
+        self.p, self.k, self.modulus = p, k, tuple(modulus)
+        self.zero = (0,) * k
+        self.one = (1,) + self.zero[1:]
+
+    def is_zero(self, a) -> bool:
+        return not any(a)
+
+    def text(self, a) -> str:
+        return "[" + ",".join(map(str, a)) + "]"
+
+    def add(self, a, b):
+        p = self.p
+        return tuple((x + y) % p for x, y in zip(a, b))
+
+    def sub(self, a, b):
+        p = self.p
+        return tuple((x - y) % p for x, y in zip(a, b))
+
+    def neg(self, a):
+        p = self.p
+        return tuple(-x % p for x in a)
+
+    def mul(self, a, b):
+        p = self.p
+        conv = [0] * (2 * self.k - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    conv[i + j] = (conv[i + j] + ai * bj) % p
+        return self._reduce(conv)
+
+    def _reduce(self, conv: list[int]) -> tuple[int, ...]:
+        # conv: 2k - 1 coefficients in [0, p), reduced by the monic modulus in place
+        p, k, modulus = self.p, self.k, self.modulus
+        for d in range(2 * k - 2, k - 1, -1):
+            c = conv[d]
+            if c:
+                off = d - k
+                for t in range(k):
+                    conv[off + t] = (conv[off + t] - c * modulus[t]) % p
+        return tuple(conv[:k])
+
+    def inv(self, a):
+        gcd, s = _poly_xgcd(a, self.modulus, self.p)  # gcd is a nonzero constant
+        c = pow(gcd[0], -1, self.p)
+        return tuple(v * c % self.p for v in s) + self.zero[len(s) :]
+
+    def pow(self, a, e: int):
+        # e >= 0: FieldElement.__pow__ turns a negative exponent into one of the inverse
+        result = self.one
+        while e:
+            if e & 1:
+                result = self.mul(result, a)
+            e >>= 1
+            if e:
+                a = self.mul(a, a)
+        return result
+
+    def dot(self, row, col):
+        p, k = self.p, self.k
+        w = (len(row) * k * (p - 1) ** 2).bit_length()
+
+        def pack(a):
+            v = 0
+            for c in reversed(a):
+                v = v << w | c
+            return v
+
+        s = sum([pack(x) * pack(y) for x, y in zip(row, col) if any(x) and any(y)])
+        if not s:
+            return self.zero
+        mask = (1 << w) - 1
+        return self._reduce([(s >> (w * i) & mask) % p for i in range(2 * k - 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -189,15 +307,22 @@ class Field(Record):
     """Descriptor of an exact field: GF(p), GF(p^k), or the rationals.
 
     Two fields compare equal iff kind, characteristic, degree and modulus
-    all match.  Instances are immutable and hashable.
+    all match.  Instances are immutable and hashable.  Each holds the
+    arithmetic kernel of its kind, built from those four and not part of
+    equality, hashing or repr.
     """
 
-    __slots__ = ("kind", "characteristic", "extension_degree", "modulus")
+    __slots__ = ("kind", "characteristic", "extension_degree", "modulus", "_kernel")
 
     def __init__(
         self, kind: str, characteristic: int, extension_degree: int = 1, modulus: tuple[int, ...] | None = None
     ):
         super().__init__(kind, characteristic, extension_degree, modulus)
+        if kind == EXTENSION:
+            kernel = _ExtensionKernel(characteristic, modulus)
+        else:
+            kernel = _PrimeKernel(characteristic) if kind == PRIME else _RationalKernel()
+        object.__setattr__(self, "_kernel", kernel)
 
     @property
     def order(self) -> int | None:
@@ -334,16 +459,17 @@ class FieldElement:
     def __setattr__(self, name, val):
         raise AttributeError("FieldElement is immutable")
 
-    def _same_field(self, other: FieldElement) -> None:
+    def _kernel_with(self, other: FieldElement):
+        # the kernel of the field both operands share
         if not isinstance(other, FieldElement):
             raise TypeError(f"FieldElement expected, got {type(other).__name__}")
-        if self.field != other.field:
-            raise MixedFields(f"operands in different fields: {self.field} vs {other.field}")
+        f = self.field
+        if other.field is not f and other.field != f:
+            raise MixedFields(f"operands in different fields: {f} vs {other.field}")
+        return f._kernel
 
     def is_zero(self) -> bool:
-        if self.field.kind == EXTENSION:
-            return not any(self.value)
-        return self.value == 0
+        return self.value == self.field._kernel.zero
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -357,83 +483,35 @@ class FieldElement:
         return hash((self.field, self.value))
 
     def __add__(self, other: FieldElement) -> FieldElement:
-        self._same_field(other)
-        f = self.field
-        if f.kind == PRIME:
-            return FieldElement(f, (self.value + other.value) % f.characteristic)
-        if f.kind == EXTENSION:
-            p = f.characteristic
-            return FieldElement(f, tuple((a + b) % p for a, b in zip(self.value, other.value)))
-        return FieldElement(f, self.value + other.value)
+        return FieldElement(self.field, self._kernel_with(other).add(self.value, other.value))
 
     def __sub__(self, other: FieldElement) -> FieldElement:
-        self._same_field(other)
-        f = self.field
-        if f.kind == PRIME:
-            return FieldElement(f, (self.value - other.value) % f.characteristic)
-        if f.kind == EXTENSION:
-            p = f.characteristic
-            return FieldElement(f, tuple((a - b) % p for a, b in zip(self.value, other.value)))
-        return FieldElement(f, self.value - other.value)
+        return FieldElement(self.field, self._kernel_with(other).sub(self.value, other.value))
 
     def __neg__(self) -> FieldElement:
-        f = self.field
-        if f.kind == PRIME:
-            return FieldElement(f, -self.value % f.characteristic)
-        if f.kind == EXTENSION:
-            p = f.characteristic
-            return FieldElement(f, tuple(-c % p for c in self.value))
-        return FieldElement(f, -self.value)
+        return FieldElement(self.field, self.field._kernel.neg(self.value))
 
     def __mul__(self, other: FieldElement) -> FieldElement:
-        self._same_field(other)
-        f = self.field
-        if f.kind == PRIME:
-            return FieldElement(f, self.value * other.value % f.characteristic)
-        if f.kind == EXTENSION:
-            return FieldElement(f, _mulmod(self.value, other.value, f.modulus, f.characteristic))
-        return FieldElement(f, self.value * other.value)
+        return FieldElement(self.field, self._kernel_with(other).mul(self.value, other.value))
 
     def inv(self) -> FieldElement:
         if self.is_zero():
             raise DivisionByZero("multiplicative inverse of zero")
-        f = self.field
-        if f.kind == PRIME:
-            return FieldElement(f, pow(self.value, -1, f.characteristic))
-        if f.kind == EXTENSION:
-            return self ** (f.order - 2)
-        return FieldElement(f, 1 / self.value)
+        return FieldElement(self.field, self.field._kernel.inv(self.value))
 
     def __truediv__(self, other: FieldElement) -> FieldElement:
-        self._same_field(other)
+        self._kernel_with(other)
         return self * other.inv()
 
     def __pow__(self, e: int) -> FieldElement:
         if not isinstance(e, int):
             raise TypeError("exponent must be an int")
-        f = self.field
-        if e == 0:
-            return f.one()  # 0^0 = 1 by convention
         if e < 0:
             return self.inv() ** (-e)
-        if f.kind == PRIME:
-            return FieldElement(f, pow(self.value, e, f.characteristic))
-        if f.kind == RATIONAL:
-            return FieldElement(f, self.value**e)
-        result = f.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return FieldElement(self.field, self.field._kernel.pow(self.value, e))  # a ** 0 = 1, also for 0
 
     def __str__(self) -> str:
-        if self.field.kind == EXTENSION:
-            return "[" + ",".join(str(c) for c in self.value) + "]"
-        return str(self.value)
+        return self.field._kernel.text(self.value)
 
     def __repr__(self) -> str:
         return f"FieldElement({self}, {self.field})"

@@ -11,6 +11,13 @@ With the 0^0 = 1 convention every family has a well-defined diagonal for
 every parameter value.  Matrices are immutable; ``@`` multiplies, ``**``
 powers, ``==`` compares entrywise, ``rank()`` runs exact Gaussian
 elimination over the field.
+
+A matrix stores its rows as raw values (``FieldElement.value``: an int
+mod p, a coefficient tuple, or a Fraction).  The builders, ``@``, ``-``,
+``==``, ``rank`` and the other whole-matrix operations run on them through
+the field's arithmetic kernel (see ``fields``); a product entry is one
+kernel dot product, which over an extension field packs each tuple into
+one int (Kronecker substitution) and reduces by the modulus once.
 """
 
 from __future__ import annotations
@@ -36,40 +43,59 @@ def binomial(m: int, r: int, field: Field) -> FieldElement:
 
 
 class SquareMatrix:
-    """Immutable dense n x n matrix of FieldElements sharing one field."""
+    """Immutable dense n x n matrix over one field.
 
-    __slots__ = ("field", "n", "rows")
+    ``values`` holds the rows as raw values; ``rows``, ``m[i, j]``,
+    ``column``, ``diagonal`` and ``apply`` hand out FieldElements.
+    """
+
+    __slots__ = ("field", "n", "values")
 
     def __init__(self, field: Field, rows: Sequence[Sequence[FieldElement]]):
         n = len(rows)
         if n < 1:
             raise ValueError("matrix dimension must be >= 1")
-        frozen = []
         for row in rows:
             if len(row) != n:
                 raise DimensionMismatch(f"expected {n} columns, got {len(row)}")
             for e in row:
                 if e.field != field:
                     raise MixedFields("matrix entries must share the parent field")
-            frozen.append(tuple(row))
+        self._set(field, tuple(tuple(e.value for e in row) for row in rows))
+
+    @classmethod
+    def from_values(cls, field: Field, values: tuple[tuple, ...]) -> SquareMatrix:
+        """A matrix on rows of canonical raw values of ``field``, taken as they are."""
+        if not values:
+            raise ValueError("matrix dimension must be >= 1")
+        m = object.__new__(cls)
+        m._set(field, values)
+        return m
+
+    def _set(self, field: Field, values: tuple[tuple, ...]) -> None:
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rows", tuple(frozen))
+        object.__setattr__(self, "n", len(values))
+        object.__setattr__(self, "values", values)
 
     def __setattr__(self, name, val):
         raise AttributeError("SquareMatrix is immutable")
 
+    @property
+    def rows(self) -> tuple[tuple[FieldElement, ...], ...]:
+        f = self.field
+        return tuple(tuple(FieldElement(f, v) for v in row) for row in self.values)
+
     def __getitem__(self, key: tuple[int, int]) -> FieldElement:
         i, j = key
-        return self.rows[i][j]
+        return FieldElement(self.field, self.values[i][j])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SquareMatrix):
             return NotImplemented
-        return self.field == other.field and self.rows == other.rows
+        return self.field == other.field and self.values == other.values
 
     def __hash__(self) -> int:
-        return hash((self.field, self.rows))
+        return hash((self.field, self.values))
 
     def _compatible(self, other: SquareMatrix) -> None:
         if not isinstance(other, SquareMatrix):
@@ -81,31 +107,15 @@ class SquareMatrix:
 
     def __matmul__(self, other: SquareMatrix) -> SquareMatrix:
         self._compatible(other)
-        n = self.n
-        zero = self.field.zero()
-        brows = other.rows
-        out = []
-        for arow in self.rows:
-            orow = []
-            for j in range(n):
-                acc = zero
-                for k in range(n):
-                    aik = arow[k]
-                    if aik.is_zero():
-                        continue
-                    bkj = brows[k][j]
-                    if bkj.is_zero():
-                        continue
-                    acc = acc + aik * bkj
-                orow.append(acc)
-            out.append(orow)
-        return SquareMatrix(self.field, out)
+        dot = self.field._kernel.dot
+        cols = list(zip(*other.values))
+        return SquareMatrix.from_values(self.field, tuple(tuple(dot(r, c) for c in cols) for r in self.values))
 
     def __sub__(self, other: SquareMatrix) -> SquareMatrix:
         self._compatible(other)
-        return SquareMatrix(
-            self.field,
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
+        sub = self.field._kernel.sub
+        return SquareMatrix.from_values(
+            self.field, tuple(tuple(map(sub, ra, rb)) for ra, rb in zip(self.values, other.values))
         )
 
     def __pow__(self, e: int) -> SquareMatrix:
@@ -122,61 +132,58 @@ class SquareMatrix:
         return result
 
     def column(self, j: int) -> tuple[FieldElement, ...]:
-        return tuple(row[j] for row in self.rows)
+        return tuple(FieldElement(self.field, row[j]) for row in self.values)
 
     def apply(self, vector: Sequence[FieldElement]) -> tuple[FieldElement, ...]:
         """Matrix-vector product."""
         if len(vector) != self.n:
             raise DimensionMismatch(f"vector length {len(vector)} != {self.n}")
-        zero = self.field.zero()
-        out = []
-        for row in self.rows:
-            acc = zero
-            for a, v in zip(row, vector):
-                if not (a.is_zero() or v.is_zero()):
-                    acc = acc + a * v
-            out.append(acc)
-        return tuple(out)
+        f = self.field
+        column = tuple(v.value for v in vector)
+        return tuple(FieldElement(f, f._kernel.dot(row, column)) for row in self.values)
 
     def is_identity(self) -> bool:
-        one = self.field.one()
-        for i, row in enumerate(self.rows):
-            for j, e in enumerate(row):
-                if i == j:
-                    if e != one:
-                        return False
-                elif not e.is_zero():
-                    return False
-        return True
+        kernel = self.field._kernel
+        one, zero = kernel.one, kernel.zero
+        return all(v == (one if i == j else zero) for i, row in enumerate(self.values) for j, v in enumerate(row))
 
     def is_upper_triangular(self) -> bool:
-        return all(self.rows[i][j].is_zero() for i in range(self.n) for j in range(i))
+        is_zero = self.field._kernel.is_zero
+        return all(is_zero(self.values[i][j]) for i in range(self.n) for j in range(i))
 
     def diagonal(self) -> tuple[FieldElement, ...]:
-        return tuple(self.rows[i][i] for i in range(self.n))
+        return tuple(FieldElement(self.field, self.values[i][i]) for i in range(self.n))
 
     def rank(self) -> int:
         """Rank by exact Gaussian elimination over the field."""
-        rows = [list(r) for r in self.rows]
+        kernel = self.field._kernel
+        is_zero, mul, sub = kernel.is_zero, kernel.mul, kernel.sub
+        rows = list(self.values)
         n = self.n
         rank = 0
         for col in range(n):
-            pivot = next((r for r in range(rank, n) if not rows[r][col].is_zero()), None)
+            pivot = next((r for r in range(rank, n) if not is_zero(rows[r][col])), None)
             if pivot is None:
                 continue
             rows[rank], rows[pivot] = rows[pivot], rows[rank]
-            inv = rows[rank][col].inv()
+            top = rows[rank]
+            inv = kernel.inv(top[col])
             for r in range(rank + 1, n):
                 factor = rows[r][col]
-                if factor.is_zero():
+                if is_zero(factor):
                     continue
-                scale = factor * inv
-                rows[r] = [a - scale * b for a, b in zip(rows[r], rows[rank])]
+                scale = mul(factor, inv)
+                rows[r] = tuple(sub(a, mul(scale, b)) for a, b in zip(rows[r], top))
             rank += 1
         return rank
 
+    def texts(self) -> list[list[str]]:
+        """The canonical text of every entry, row by row."""
+        text = self.field._kernel.text
+        return [list(map(text, row)) for row in self.values]
+
     def row_texts(self) -> list[str]:
-        return ["[" + ", ".join(str(e) for e in row) + "]" for row in self.rows]
+        return ["[" + ", ".join(row) + "]" for row in self.texts()]
 
     def __str__(self) -> str:
         return "\n".join(self.row_texts())
@@ -186,15 +193,16 @@ class SquareMatrix:
 
 
 def identity(field: Field, n: int) -> SquareMatrix:
-    one, zero = field.one(), field.zero()
-    return SquareMatrix(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
+    kernel = field._kernel
+    one, zero = kernel.one, kernel.zero
+    return SquareMatrix.from_values(field, tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)))
 
 
-def _powers(a: FieldElement, count: int) -> list[FieldElement]:
-    # [a^0, a^1, ..., a^(count-1)] with a^0 = 1 even for a = 0
-    out = [a.field.one()]
+def _powers(kernel, a, count: int) -> list:
+    # raw [a^0, a^1, ..., a^(count-1)] with a^0 = 1 even for a = 0
+    out = [kernel.one]
     for _ in range(count - 1):
-        out.append(out[-1] * a)
+        out.append(kernel.mul(out[-1], a))
     return out
 
 
@@ -217,14 +225,15 @@ def q_matrix(y: FieldElement, x: FieldElement, n: int) -> SquareMatrix:
     if y.field != x.field:
         raise MixedFields("y and x must share a field")
     f = x.field
-    zero = f.zero()
-    ypow = _powers(y, n)
-    xpow = _powers(x, 2 * n - 1)
-    rows = [
-        [ypow[j - i] * xpow[j + i] * binomial(j, i, f) if j >= i else zero for j in range(n)]
+    kernel = f._kernel
+    mul, zero = kernel.mul, kernel.zero
+    ypow = _powers(kernel, y.value, n)
+    xpow = _powers(kernel, x.value, 2 * n - 1)
+    rows = tuple(
+        tuple(mul(binomial(j, i, f).value, mul(ypow[j - i], xpow[j + i])) if j >= i else zero for j in range(n))
         for i in range(n)
-    ]
-    return SquareMatrix(f, rows)
+    )
+    return SquareMatrix.from_values(f, rows)
 
 
 def d_matrix(alpha: FieldElement, n: int) -> SquareMatrix:
@@ -232,9 +241,11 @@ def d_matrix(alpha: FieldElement, n: int) -> SquareMatrix:
     if n < 1:
         raise ValueError("n must be >= 1")
     f = alpha.field
-    zero = f.zero()
-    apow = _powers(alpha, n)
-    return SquareMatrix(f, [[apow[i] if i == j else zero for j in range(n)] for i in range(n)])
+    kernel = f._kernel
+    apow = _powers(kernel, alpha.value, n)
+    return SquareMatrix.from_values(
+        f, tuple(tuple(apow[i] if i == j else kernel.zero for j in range(n)) for i in range(n))
+    )
 
 
 def matrix_to_json(m: SquareMatrix) -> dict:
@@ -242,7 +253,7 @@ def matrix_to_json(m: SquareMatrix) -> dict:
     return {
         "field": m.field.spec(),
         "n": m.n,
-        "rows": [[str(e) for e in row] for row in m.rows],
+        "rows": m.texts(),
     }
 
 

@@ -1,7 +1,10 @@
 """``Record``: the base of the package's immutable value classes.
 
 A subclass names its fields, two or more, in ``__slots__`` and sets them,
-in that order, through ``Record.__init__``.  It then gets what
+in that order, through ``Record.__init__``.  A slot whose name starts with
+an underscore is not a field: it holds state the subclass derives from the
+fields and sets itself, and it takes no part in what follows.  The
+subclass then gets what
 ``@dataclass(frozen=True)`` would give it, without the import of
 ``dataclasses`` (and of the ``inspect`` that it pulls in) that every
 start-up of the CLI would pay:
@@ -23,11 +26,12 @@ class Record:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
         # the tuple of the field values, read in C
-        cls._values = property(operator.attrgetter(*cls.__slots__))
+        cls._values = property(operator.attrgetter(*cls._fields))
 
     def __init__(self, *values):
-        for name, value in zip(self.__slots__, values, strict=True):
+        for name, value in zip(self._fields, values, strict=True):
             object.__setattr__(self, name, value)
 
     def __eq__(self, other) -> bool:
@@ -48,5 +52,5 @@ class Record:
         return self.__class__, self._values
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values))
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values))
         return f"{self.__class__.__qualname__}({fields})"

@@ -66,9 +66,9 @@ class Decomposition(Record):
             "y": str(self.source_y),
             "x": str(self.source_x),
             "z": str(self.z),
-            "left": [[str(e) for e in row] for row in self.left.rows],
-            "middle": [[str(e) for e in row] for row in self.middle.rows],
-            "right": [[str(e) for e in row] for row in self.right.rows],
+            "left": self.left.texts(),
+            "middle": self.middle.texts(),
+            "right": self.right.texts(),
             "verified": verify_factorization(self),
         }
 
@@ -136,11 +136,11 @@ def diagonalizable_oracle(m: SquareMatrix) -> bool:
     """
     if not m.is_upper_triangular():
         raise NotTriangular("oracle requires an upper-triangular matrix")
+    sub = m.field._kernel.sub
     total = 0
-    for lam in dict.fromkeys(m.diagonal()):
-        shifted = SquareMatrix(
-            m.field,
-            [[m.rows[i][j] - lam if i == j else m.rows[i][j] for j in range(m.n)] for i in range(m.n)],
+    for lam in dict.fromkeys(m.values[i][i] for i in range(m.n)):
+        shifted = tuple(
+            tuple(sub(v, lam) if i == j else v for j, v in enumerate(row)) for i, row in enumerate(m.values)
         )
-        total += m.n - shifted.rank()
+        total += m.n - SquareMatrix.from_values(m.field, shifted).rank()
     return total == m.n

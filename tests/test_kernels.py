@@ -1,0 +1,186 @@
+"""The per-kind arithmetic kernels against element-wise references.
+
+``SquareMatrix`` keeps raw values and multiplies them with its field's
+kernel (``dot``, by Kronecker substitution over extension fields).  The
+references here are written with FieldElement operators, entry by entry,
+so every matrix operation is checked against a second path through the
+field arithmetic.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from zhangliu import (
+    DivisionByZero,
+    SquareMatrix,
+    make_rational_field,
+    parse_field_spec,
+)
+
+QQ = make_rational_field()
+SPECS = ["gf:2", "gf:7", "gf:251", "gf:2^4", "gf:3^3", "gf:3^2:m=2,2,1", "gf:13^4", "gf:7^5", "gf:2^12", "qq"]
+FIELDS = {spec: parse_field_spec(spec) for spec in SPECS}
+
+
+# ---------------------------------------------------------------------------
+# element-wise references
+
+
+def ref_matmul(a, b):
+    f, n = a.field, a.n
+    return tuple(tuple(sum((a[i, k] * b[k, j] for k in range(n)), f.zero()) for j in range(n)) for i in range(n))
+
+
+def ref_apply(a, v):
+    return tuple(sum((a[i, k] * v[k] for k in range(a.n)), a.field.zero()) for i in range(a.n))
+
+
+def ref_sub(a, b):
+    minus_one = -a.field.one()
+    return tuple(tuple(a[i, j] + minus_one * b[i, j] for j in range(a.n)) for i in range(a.n))
+
+
+def ref_inverse(e):
+    f = e.field
+    if f.is_finite:
+        return e ** (f.order - 2)
+    return f.element(1 / e.value)
+
+
+def ref_rank(m):
+    f, n = m.field, m.n
+    rows = [list(r) for r in m.rows]
+    rank = 0
+    for col in range(n):
+        pivot = next((r for r in range(rank, n) if rows[r][col] != f.zero()), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = ref_inverse(rows[rank][col])
+        for r in range(rank + 1, n):
+            scale = -(rows[r][col] * inv)
+            rows[r] = [a + scale * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def ref_is_identity(m):
+    f = m.field
+    return all(m[i, j] == (f.one() if i == j else f.zero()) for i in range(m.n) for j in range(m.n))
+
+
+# ---------------------------------------------------------------------------
+# hypothesis-drawn matrices
+
+
+@st.composite
+def elements(draw, f):
+    # a zero one time in three: the kernels skip zero terms
+    if draw(st.integers(0, 2)) == 0:
+        return f.zero()
+    if f.kind == "rational":
+        return f.element(Fraction(draw(st.integers(-50, 50)), draw(st.integers(1, 30))))
+    p = f.characteristic
+    if f.kind == "prime":
+        return f.element(draw(st.integers(0, p - 1)))
+    return f.element(draw(st.lists(st.integers(0, p - 1), min_size=f.extension_degree, max_size=f.extension_degree)))
+
+
+@st.composite
+def matrices(draw, count=1, n_max=5):
+    f = FIELDS[draw(st.sampled_from(SPECS))]
+    n = draw(st.integers(1, n_max))
+    out = [SquareMatrix(f, [[draw(elements(f)) for _ in range(n)] for _ in range(n)]) for _ in range(count)]
+    return f, out
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(matrices(count=2))
+def test_matmul_sub_and_eq_match_the_elementwise_reference(drawn):
+    f, (a, b) = drawn
+    assert (a @ b).rows == ref_matmul(a, b)
+    assert (a - b).rows == ref_sub(a, b)
+    assert a == SquareMatrix(f, a.rows) and hash(a) == hash(SquareMatrix(f, a.rows))
+    assert (a == b) == (a.rows == b.rows)
+    changed = [list(r) for r in a.rows]
+    changed[-1][0] = changed[-1][0] + f.one()
+    assert a != SquareMatrix(f, changed)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(matrices(), st.data())
+def test_rank_apply_and_is_identity_match_the_elementwise_reference(drawn, data):
+    f, (a,) = drawn
+    assert a.rank() == ref_rank(a)
+    v = [data.draw(elements(f)) for _ in range(a.n)]
+    assert a.apply(v) == ref_apply(a, v)
+    assert a.is_identity() == ref_is_identity(a)
+    eye = SquareMatrix(f, [[f.one() if i == j else f.zero() for j in range(a.n)] for i in range(a.n)])
+    assert eye.is_identity() and eye.rank() == a.n
+    assert (a @ eye) == a == (eye @ a)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_dense_rational_matrices_match_the_elementwise_reference(n, data):
+    def entry():
+        return QQ.element(Fraction(data.draw(st.integers(-(10**6), 10**6)), data.draw(st.integers(1, 10**4))))
+
+    def dense():
+        return SquareMatrix(QQ, [[entry() for _ in range(n)] for _ in range(n)])
+
+    a, b = dense(), dense()
+    assert (a @ b).rows == ref_matmul(a, b)
+    assert (a @ b @ a).rows == ref_matmul(SquareMatrix(QQ, ref_matmul(a, b)), a)
+    assert a.rank() == ref_rank(a)
+    assert all(type(e.value) is Fraction for row in (a @ b).rows for e in row)
+
+
+# ---------------------------------------------------------------------------
+# worst-case Kronecker carries: every coefficient p - 1, so every slot of a
+# packed dot product reaches its bound n*k*(p-1)^2
+
+
+@pytest.mark.parametrize("n", [1, 16])
+@pytest.mark.parametrize("spec", ["gf:2^12", "gf:13^4", "gf:7^5", "gf:3^2:m=2,2,1", "gf:251"])
+def test_all_max_coefficients_do_not_carry(spec, n):
+    f = parse_field_spec(spec)
+    p = f.characteristic
+    top = f.element([p - 1] * f.extension_degree) if f.kind == "extension" else f.element(p - 1)
+    a = SquareMatrix(f, [[top] * n for _ in range(n)])
+    assert (a @ a).rows == ref_matmul(a, a)
+    assert a.apply([top] * n) == ref_apply(a, [top] * n)
+    # n * top^2 in every entry
+    square = top * top
+    assert (a @ a)[0, 0] == sum([square] * n, f.zero())
+
+
+# ---------------------------------------------------------------------------
+# extension-field inverse by extended Euclid
+
+
+@pytest.mark.parametrize("spec", ["gf:2^4", "gf:3^3", "gf:5^2:m=2,1,1"])
+def test_inverse_of_every_nonzero_element(spec):
+    f = parse_field_spec(spec)
+    for a in f.nonzero_elements():
+        assert a * a.inv() == f.one(), a
+
+
+def test_inverse_equals_fermat_power_in_gf_2_40():
+    f = parse_field_spec("gf:2^40")
+    rng = random.Random(40)
+    for _ in range(20):
+        a = f.random_element(rng, nonzero=True)
+        assert a.inv() == a ** (f.order - 2)
+
+
+@pytest.mark.parametrize("spec", ["gf:7", "gf:2^4", "gf:3^2:m=2,2,1", "qq"])
+def test_inverse_of_zero_raises(spec):
+    f = parse_field_spec(spec)
+    with pytest.raises(DivisionByZero):
+        f.zero().inv()
+    with pytest.raises(DivisionByZero):
+        f.one() / f.zero()
