@@ -11,9 +11,11 @@ from .errors import (
     DimensionMismatch,
     DivisionByZero,
     FieldTooLarge,
+    InfiniteField,
     MixedFields,
     NotPrime,
     NotTriangular,
+    OutOfRange,
     ParseError,
     Reducible,
     SingularParameter,
@@ -64,10 +66,12 @@ __all__ = [
     "Field",
     "FieldElement",
     "FieldTooLarge",
+    "InfiniteField",
     "MixedFields",
     "NotPrime",
     "NotTriangular",
     "OrderResult",
+    "OutOfRange",
     "ParseError",
     "Reducible",
     "SingularParameter",

@@ -25,6 +25,7 @@ import json
 from collections.abc import Iterator
 from typing import TextIO
 
+from .errors import InfiniteField, check_cap, check_params
 from .fields import Field, OrderResult
 from .matrices import q_matrix
 from .orders import oracle_agrees, q_order, q_order_bruteforce
@@ -77,11 +78,10 @@ def census_rows(
     disagreement is appended to the list as one line of text.
     """
     if not field.is_finite:
-        raise ValueError("census requires a finite field")
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    if mismatches is not None and cap is not None and cap < 1:
-        raise ValueError(f"cap must be >= 1, got {cap}")
+        raise InfiniteField("census requires a finite field")
+    check_params(n)
+    if mismatches is not None and cap is not None:
+        check_cap(cap)
     ys = sorted(field.elements(), key=str)
     xs = sorted(field.nonzero_elements(), key=str)
     x_texts = [str(x) for x in xs]

@@ -5,9 +5,14 @@ Subcommands: ``matrix`` (build and print one of the four families),
 form, optionally cross-checked by brute force), ``census`` (full sweep
 over a finite field) and ``selftest`` (packaged invariant suites).
 
-Exit codes: 0 ok, 1 selftest or cross-check failure, 2 parse error,
-3 precondition violation, 4 factorization refused because the matrix is
-not diagonalizable (or x^2 = 1), 5 census over an infinite field.
+Exit codes: 0 ok; 1 selftest or cross-check failure; 2 parse error
+(``ParseError``); 3 precondition violation (``OutOfRange``,
+``ZeroParameter``, ``SingularParameter``, ``MixedFields``,
+``DimensionMismatch``); 4 factorization refused because x^2 = 1
+(``SingularParameter`` from ``factorize``); 5 census over an infinite field
+(``InfiniteField``).  The library checks every precondition and raises a
+typed error; ``main`` maps the error's class to its code through
+``EXIT_CODES``, so no subcommand repeats a library check.
 
 Start-up: ``main`` builds its argparse parser on its first call and reuses
 it for every later call in the process, and it finds the handler of a
@@ -25,7 +30,9 @@ import sys
 from .census import census_csv, census_json, census_rows, census_table
 from .errors import (
     DimensionMismatch,
+    InfiniteField,
     MixedFields,
+    OutOfRange,
     ParseError,
     SingularParameter,
     ZeroParameter,
@@ -41,6 +48,18 @@ EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_NOT_DIAGONALIZABLE = 4
 EXIT_INFINITE_CENSUS = 5
+
+# the exit code of each library error class that ``main`` reports; an error
+# of any other class propagates
+EXIT_CODES = {
+    ParseError: EXIT_PARSE,
+    OutOfRange: EXIT_PRECONDITION,
+    ZeroParameter: EXIT_PRECONDITION,
+    SingularParameter: EXIT_PRECONDITION,
+    MixedFields: EXIT_PRECONDITION,
+    DimensionMismatch: EXIT_PRECONDITION,
+    InfiniteField: EXIT_INFINITE_CENSUS,
+}
 
 _MATRIX_KINDS = {"p1": (p1_matrix, 1), "p2": (p2_matrix, 1), "q": (q_matrix, 2), "d": (d_matrix, 1)}
 
@@ -85,15 +104,7 @@ def cmd_matrix(args) -> int:
     if len(params) != arity:
         raise ParseError(f"kind {args.kind} takes {arity} parameter(s), got {len(params)}")
     elems = [parse_element(p, field) for p in params]
-    if args.n < 1:
-        _err("n must be >= 1")
-        return EXIT_PRECONDITION
-    try:
-        mat = builder(*elems, args.n)
-    except (ZeroParameter, ValueError) as e:
-        _err(str(e))
-        return EXIT_PRECONDITION
-    _print_matrix(mat, args.format)
+    _print_matrix(builder(*elems, args.n), args.format)
     return EXIT_OK
 
 
@@ -101,13 +112,9 @@ def cmd_factorize(args) -> int:
     field = parse_field_spec(args.field)
     y = parse_element(args.y, field)
     x = parse_element(args.x, field)
-    if args.n < 2:
-        _err("n must be >= 2")
-        return EXIT_PRECONDITION
-    if x.is_zero():
-        _err("x must be nonzero")
-        return EXIT_PRECONDITION
-    if x * x == field.one():
+    try:
+        dec = factorize_q(y, x, args.n)
+    except SingularParameter:
         if y.is_zero():
             _err(
                 "x^2 = 1: the similarity parameter does not exist, but with y = 0 "
@@ -119,7 +126,6 @@ def cmd_factorize(args) -> int:
                 "(diagonalizable only when x is outside {1,-1} or y = 0)"
             )
         return EXIT_NOT_DIAGONALIZABLE
-    dec = factorize_q(y, x, args.n)
     if args.format == "json":
         payload = dec.to_json()
         verified = payload["verified"]
@@ -143,14 +149,7 @@ def cmd_order(args) -> int:
     field = parse_field_spec(args.field)
     y = parse_element(args.y, field)
     x = parse_element(args.x, field)
-    if args.n < 2:
-        _err("n must be >= 2")
-        return EXIT_PRECONDITION
-    try:
-        formula = q_order(y, x, args.n)
-    except ZeroParameter as e:
-        _err(str(e))
-        return EXIT_PRECONDITION
+    formula = q_order(y, x, args.n)
     if not args.oracle:
         if args.format == "json":
             print(json.dumps(formula.to_json()))
@@ -158,9 +157,6 @@ def cmd_order(args) -> int:
             print(formula)
         return EXIT_OK
     cap = args.cap
-    if cap is not None and cap < 1:
-        _err("cap must be >= 1")
-        return EXIT_PRECONDITION
     if cap is None and not field.is_finite:
         cap = 1000
     brute = q_order_bruteforce(y, x, args.n, cap)
@@ -178,15 +174,6 @@ def cmd_order(args) -> int:
 
 def cmd_census(args) -> int:
     field = parse_field_spec(args.field)
-    if not field.is_finite:
-        _err("census requires a finite field")
-        return EXIT_INFINITE_CENSUS
-    if args.n < 2:
-        _err("n must be >= 2")
-        return EXIT_PRECONDITION
-    if args.verify and args.cap is not None and args.cap < 1:
-        _err("cap must be >= 1")
-        return EXIT_PRECONDITION
     mismatches: list[str] = []
     rows = census_rows(field, args.n, mismatches if args.verify else None, args.cap)
     render = {"csv": census_csv, "json": census_json, "table": census_table}[args.format]
@@ -203,11 +190,11 @@ def cmd_selftest(args) -> int:
     width = max(len(r.name) for r in reports)
     failed = False
     for rep in reports:
-        status = "ok" if rep.ok else f"{len(rep.failures)} FAILED"
+        status = f"{len(rep.failures)} FAILED" if rep.failures else "ok"
         print(f"{rep.name.ljust(width)}  {rep.checks:5d} checks  {status}")
         for message in rep.failures[:10]:
             print(f"  - {message}")
-        failed = failed or not rep.ok
+        failed = failed or bool(rep.failures)
     total = sum(r.checks for r in reports)
     print(f"selftest: {'FAIL' if failed else 'PASS'} ({len(reports)} suites, {total} checks)")
     return EXIT_FAILURE if failed else EXIT_OK
@@ -271,12 +258,9 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return globals()[f"cmd_{args.command}"](args)
-    except ParseError as e:
+    except tuple(EXIT_CODES) as e:
         _err(str(e))
-        return EXIT_PARSE
-    except (ZeroParameter, SingularParameter, MixedFields, DimensionMismatch) as e:
-        _err(str(e))
-        return EXIT_PRECONDITION
+        return next(EXIT_CODES[cls] for cls in type(e).__mro__ if cls in EXIT_CODES)
 
 
 if __name__ == "__main__":

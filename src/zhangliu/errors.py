@@ -1,4 +1,5 @@
-"""Exception types raised by the library."""
+"""Exception types raised by the library, and the precondition checks that
+every entry point shares, so each precondition has one text."""
 
 
 class ZhangLiuError(Exception):
@@ -47,3 +48,26 @@ class NotTriangular(ZhangLiuError, ValueError):
 
 class DimensionMismatch(ZhangLiuError, ValueError):
     """Matrix operands have different dimensions."""
+
+
+class OutOfRange(ZhangLiuError, ValueError):
+    """An integer argument (the dimension n, a brute-force cap) is below its minimum."""
+
+
+class InfiniteField(ZhangLiuError, ValueError):
+    """A finite field was required: a census, or a default brute-force cap, over qq."""
+
+
+def check_params(n: int | None = None, x=None, minimum: int = 2) -> None:
+    """Raise the error of the first fault, in the order the CLI reports them:
+    n below ``minimum`` (OutOfRange), then x = 0 (ZeroParameter).  None skips a test."""
+    if n is not None and n < minimum:
+        raise OutOfRange(f"n must be >= {minimum}")
+    if x is not None and x.is_zero():
+        raise ZeroParameter("x must be nonzero")
+
+
+def check_cap(cap: int) -> None:
+    """A brute-force cap must allow at least one step."""
+    if cap < 1:
+        raise OutOfRange("cap must be >= 1")

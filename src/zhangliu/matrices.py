@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .errors import DimensionMismatch, MixedFields, ZeroParameter
+from .errors import DimensionMismatch, MixedFields, check_params
 from .fields import Field, FieldElement, parse_element, parse_field_spec
 
 
@@ -53,8 +53,7 @@ class SquareMatrix:
 
     def __init__(self, field: Field, rows: Sequence[Sequence[FieldElement]]):
         n = len(rows)
-        if n < 1:
-            raise ValueError("matrix dimension must be >= 1")
+        check_params(n, minimum=1)
         for row in rows:
             if len(row) != n:
                 raise DimensionMismatch(f"expected {n} columns, got {len(row)}")
@@ -66,8 +65,7 @@ class SquareMatrix:
     @classmethod
     def from_values(cls, field: Field, values: tuple[tuple, ...]) -> SquareMatrix:
         """A matrix on rows of canonical raw values of ``field``, taken as they are."""
-        if not values:
-            raise ValueError("matrix dimension must be >= 1")
+        check_params(len(values), minimum=1)
         m = object.__new__(cls)
         m._set(field, values)
         return m
@@ -218,10 +216,7 @@ def p2_matrix(x: FieldElement, n: int) -> SquareMatrix:
 
 def q_matrix(y: FieldElement, x: FieldElement, n: int) -> SquareMatrix:
     """Zhang-Liu matrix; specializes to p1 (x=1), p2 (y=1) and d (y=0)."""
-    if x.is_zero():
-        raise ZeroParameter("x must be nonzero")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_params(n, x, minimum=1)
     if y.field != x.field:
         raise MixedFields("y and x must share a field")
     f = x.field
@@ -238,8 +233,7 @@ def q_matrix(y: FieldElement, x: FieldElement, n: int) -> SquareMatrix:
 
 def d_matrix(alpha: FieldElement, n: int) -> SquareMatrix:
     """Diagonal matrix with entries alpha^(i-1); the (1,1) entry is always 1."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_params(n, minimum=1)
     f = alpha.field
     kernel = f._kernel
     apow = _powers(kernel, alpha.value, n)

@@ -21,21 +21,14 @@ its own outcome and is never folded into "infinite".
 
 from __future__ import annotations
 
-from .errors import MixedFields, ZeroParameter
+from .errors import InfiniteField, MixedFields, check_cap, check_params
 from .fields import FieldElement, OrderResult, multiplicative_order
 from .matrices import identity, q_matrix
 
 
-def _check_params(x: FieldElement, n: int) -> None:
-    if x.is_zero():
-        raise ZeroParameter("x must be nonzero")
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-
-
 def q_order(y: FieldElement, x: FieldElement, n: int) -> OrderResult:
     """Closed-form order of q_matrix(y, x, n); independent of n."""
-    _check_params(x, n)
+    check_params(n, x)
     f = x.field
     if y.field is not f and y.field != f:
         raise MixedFields("y and x must share a field")
@@ -53,7 +46,7 @@ def default_cap(y: FieldElement, x: FieldElement, n: int) -> int:
     """Safe brute-force cap for a finite field: characteristic * q^n."""
     f = x.field
     if not f.is_finite:
-        raise ValueError("no default cap over an infinite field; pass one explicitly")
+        raise InfiniteField("no default cap over an infinite field; pass one explicitly")
     return f.characteristic * f.order**n
 
 
@@ -66,11 +59,10 @@ def q_order_bruteforce(
     Over a finite field the default cap (characteristic * q^n) always
     suffices; over the rationals a cap must be given.
     """
-    _check_params(x, n)
+    check_params(n, x)
     if cap is None:
         cap = default_cap(y, x, n)
-    if cap < 1:
-        raise ValueError(f"cap must be >= 1, got {cap}")
+    check_cap(cap)
     q = q_matrix(y, x, n)
     eye = identity(x.field, n)
     power = q

@@ -1,77 +1,78 @@
-"""Packaged invariant suites behind the ``selftest`` CLI command.
+"""The library's invariants, each written once, and the ``selftest`` command.
 
-Each suite replays the library's algebraic invariants on small default
-domains: field axioms and element orders, the Pascal-family identities,
-the factorization and its rank oracle, order formula vs brute force, and
-the text/JSON interfaces.  Deterministic (fixed seeds), desk-scale (a few
-seconds total).
+Contract of a check: every function named ``check_*`` is one invariant.  It
+takes its domain as arguments (a field, a dimension n, a sample count or an
+upper bound) and yields one ``(ok, detail)`` pair per comparison it makes:
+``ok`` is a bool, and ``detail`` is a tuple that locates the comparison.
+Sampled inputs come from a random generator seeded by the field and the
+dimension but not the count, so every run draws the same inputs and a
+larger count draws the smaller count's inputs first.
+
+``SUITES`` lists the desk-scale domains that ``zhangliu selftest`` runs (under a
+second); ``tests/test_invariants.py`` runs the same functions on larger ones.
+The oracles ``_naive_ext_mul`` and ``_lucas`` share no code with the library.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import random
-from dataclasses import dataclass, field as dataclass_field
 
-from .census import census_csv, census_json, census_rows
-from .fields import (
-    factor_integer,
-    make_extension_field,
-    make_prime_field,
-    make_rational_field,
-    multiplicative_order,
-    parse_element,
-    parse_field_spec,
-)
-from .matrices import (
-    binomial,
-    d_matrix,
-    identity,
-    matrix_from_json,
-    matrix_to_json,
-    p1_matrix,
-    p2_matrix,
-    q_matrix,
-)
+from .census import CSV_HEADER, census_csv, census_json, census_rows
+from .errors import SingularParameter
+from .fields import factor_integer, make_extension_field, make_prime_field, make_rational_field
+from .fields import multiplicative_order, parse_element, parse_field_spec
+from .matrices import binomial, d_matrix, identity, matrix_from_json, matrix_to_json, p1_matrix, p2_matrix, q_matrix
 from .orders import oracle_agrees, p1_order, p2_order, q_order, q_order_bruteforce
-from .spectral import (
-    diagonalizable_oracle,
-    eigenpairs,
-    factorize_q,
-    is_diagonalizable,
-    verify_factorization,
-    z_parameter,
-)
+from .spectral import diagonalizable_oracle, eigenpairs, factorize_q, is_diagonalizable, verify_factorization
+from .spectral import z_parameter
 
 
-@dataclass
 class SuiteReport:
-    name: str
-    checks: int = 0
-    failures: list[str] = dataclass_field(default_factory=list)
+    """The comparisons one suite made, and a line of text for each that failed."""
 
-    @property
-    def ok(self) -> bool:
-        return not self.failures
+    def __init__(self, name: str):
+        self.name, self.checks, self.failures = name, 0, []
 
-    def check(self, cond: bool, message: str) -> None:
-        self.checks += 1
-        if not cond:
-            self.failures.append(message)
-
-
-def _gf(p):
-    return make_prime_field(p)
+    def run(self, check, *domain) -> None:
+        """Run one check on one domain and count its comparisons."""
+        for ok, detail in check(*domain):
+            self.checks += 1
+            if not ok:
+                args = ", ".join(map(str, domain))
+                self.failures.append(f"{check.__name__}({args}): fails at {', '.join(map(str, detail))}")
 
 
-def _small_fields():
-    return [_gf(3), _gf(5), _gf(7), make_extension_field(2, 2), make_extension_field(3, 2)]
+def _elements(field, samples=None, *seed) -> list:
+    """Every element of a finite field, or ``samples`` seeded random ones."""
+    if samples is None:
+        return list(field.elements())
+    rng = random.Random(f"{field.spec()}/{seed}")
+    return [field.random_element(rng) for _ in range(samples)]
+
+
+def _pairs(field, samples=None, *seed) -> list:
+    """Every (y, x) with x != 0 of a finite field, or ``samples`` seeded random ones."""
+    if samples is None:
+        return [(y, x) for y in field.elements() for x in field.nonzero_elements()]
+    rng = random.Random(f"{field.spec()}/{seed}")
+    return [(field.random_element(rng), field.random_element(rng, nonzero=True)) for _ in range(samples)]
+
+
+def _refused(fn, *args) -> bool:
+    """Whether fn(*args) raises SingularParameter, as it must where x^2 = 1."""
+    try:
+        fn(*args)
+    except SingularParameter:
+        return True
+    return False
 
 
 def _naive_ext_mul(a, b):
-    """Independent extension-field product: integer convolution, then long
-    division by the modulus."""
+    """Independent extension-field product: integer convolution, then long division by the modulus."""
     f = a.field
     p, k, mod = f.characteristic, f.extension_degree, list(f.modulus)
     conv = [0] * (2 * k - 1)
@@ -101,253 +102,252 @@ def _lucas(m, r, p):
     return out
 
 
-def field_suite() -> SuiteReport:
-    rep = SuiteReport("field-core")
-    rng = random.Random(101)
-    qq = make_rational_field()
+def check_element_orders(field):
+    """For every a != 0 with m = ord(a): a^m = 1, m divides q - 1, m/l fails
+    for each prime l dividing m, and inv(a) * a = 1."""
+    one = field.one()
+    for a in field.nonzero_elements():
+        m = (res := multiplicative_order(a)).value
+        yield res.is_finite and a**m == one and (field.order - 1) % m == 0, ("order", a, m)
+        yield all(a ** (m // ell) != one for ell in set(factor_integer(m))), ("not minimal", a, m)
+        yield a.inv() * a == one, ("inverse", a)
 
-    for f in _small_fields():
-        one = f.one()
-        q = f.order
-        for a in f.nonzero_elements():
-            res = multiplicative_order(a)
-            m = res.value
-            rep.check(res.is_finite and a**m == one, f"{f}: {a}^{m} != 1")
-            rep.check((q - 1) % m == 0, f"{f}: order {m} of {a} does not divide {q - 1}")
-            for ell in set(factor_integer(m)):
-                rep.check(a ** (m // ell) != one, f"{f}: order of {a} not minimal at {m}//{ell}")
-            rep.check(a.inv() * a == one, f"{f}: inv({a}) * {a} != 1")
 
-    for f in _small_fields() + [qq]:
-        rep.check((f.zero() ** 0) == f.one(), f"{f}: 0^0 != 1")
-        for _ in range(20):
-            a = f.random_element(rng, nonzero=True)
-            e1, e2 = rng.randint(-10, 10), rng.randint(-10, 10)
-            rep.check(a ** (e1 + e2) == a**e1 * a**e2, f"{f}: pow additivity fails for {a}, {e1}, {e2}")
+def check_pow_laws(field, samples):
+    """0^0 = 1, and a^(e1 + e2) = a^e1 * a^e2 for sampled a != 0 and -10 <= e1, e2 <= 10."""
+    yield field.zero() ** 0 == field.one(), ("0^0",)
+    rng = random.Random(f"{field.spec()}/pow")
+    for _ in range(samples):
+        a, e1, e2 = field.random_element(rng, nonzero=True), rng.randint(-10, 10), rng.randint(-10, 10)
+        yield a ** (e1 + e2) == a**e1 * a**e2, (a, e1, e2)
 
-    for f in [make_extension_field(3, 2), make_extension_field(2, 3)]:
-        for _ in range(40):
-            a, b = f.random_element(rng), f.random_element(rng)
-            rep.check(a * b == _naive_ext_mul(a, b), f"{f}: {a} * {b} disagrees with convolution oracle")
 
-    for f in _small_fields():
-        rep.check(parse_field_spec(f.spec()) == f, f"spec round trip fails for {f}")
-        for a in f.elements():
-            rep.check(parse_element(str(a), f) == a, f"{f}: text round trip fails for {a}")
-    for _ in range(20):
-        a = qq.random_element(rng)
-        rep.check(parse_element(str(a), qq) == a, f"qq: text round trip fails for {a}")
+def check_extension_mul(field):
+    """Every product in GF(p^k) equals the convolution-and-long-division oracle."""
+    for a in field.elements():
+        for b in field.elements():
+            yield a * b == _naive_ext_mul(a, b), (a, b)
 
-    for m in range(1, 150):
+
+def check_text_round_trip(field, samples=None):
+    """The field spec and every element text (sampled over qq) parse back to equal values."""
+    yield parse_field_spec(field.spec()) == field, (field.spec(),)
+    for a in _elements(field, samples, "text"):
+        yield parse_element(str(a), field) == a, (a,)
+
+
+def check_factor_integer(limit):
+    """For 1 <= m <= limit the factors multiply to m and each is prime."""
+    for m in range(1, limit + 1):
         factors = factor_integer(m)
-        rep.check(math.prod(factors) == m, f"factor_integer({m}) product wrong")
-        rep.check(all(factor_integer(p) == [p] for p in set(factors)), f"factor_integer({m}) non-prime factor")
-    return rep
+        yield math.prod(factors) == m and all(factor_integer(p) == [p] for p in factors), (m, factors)
 
 
-def pascal_suite() -> SuiteReport:
-    rep = SuiteReport("pascal-core")
-    rng = random.Random(202)
+def check_binomial_recurrence(field, m_max):
+    """C(m, r) = C(m-1, r-1) + C(m-1, r) in the field for 1 <= m <= m_max and 0 <= r <= m."""
+    for m in range(1, m_max + 1):
+        for r in range(m + 1):
+            yield binomial(m, r, field) == binomial(m - 1, r - 1, field) + binomial(m - 1, r, field), (m, r)
+
+
+def check_binomial_lucas(field, samples):
+    """Over GF(p), C(m, r) is Lucas' digit product (0 for r > m) for sampled 0 <= m, r <= 200."""
+    rng = random.Random(f"{field.spec()}/lucas")
+    for _ in range(samples):
+        m, r = rng.randint(0, 200), rng.randint(0, 200)
+        yield binomial(m, r, field) == field.element(_lucas(m, r, field.characteristic)), (m, r)
+
+
+def check_p1_group_law(field, n, samples=None):
+    """p1(a) p1(b) = p1(a + b) for every pair of (sampled) elements, and p1(a) p1(-a) = I."""
+    elems = _elements(field, samples, "p1", n)
+    eye = identity(field, n)
+    for a in elems:
+        for b in elems:
+            yield p1_matrix(a, n) @ p1_matrix(b, n) == p1_matrix(a + b, n), ("additive law", a, b)
+        yield p1_matrix(a, n) @ p1_matrix(-a, n) == eye, ("inverse", a)
+
+
+def check_d_matrix(field, n):
+    """d(a) d(b) = d(ab) for every pair, and d(a)^m = d(a^m) for 0 <= m <= 5."""
+    for a in field.elements():
+        for b in field.elements():
+            yield d_matrix(a, n) @ d_matrix(b, n) == d_matrix(a * b, n), ("product", a, b)
+        for m in range(6):
+            yield d_matrix(a, n) ** m == d_matrix(a**m, n), ("power", a, m)
+
+
+def check_q_specializations(field, n):
+    """q(y, 1) = p1(y), q(1, x) = p2(x), q(0, x) = d(x^2) and q(1, -1) = p1(-1)."""
+    one, zero = field.one(), field.zero()
+    for y in field.elements():
+        yield q_matrix(y, one, n) == p1_matrix(y, n), ("q(y, 1)", y)
+    for x in field.nonzero_elements():
+        yield q_matrix(one, x, n) == p2_matrix(x, n), ("q(1, x)", x)
+        yield q_matrix(zero, x, n) == d_matrix(x * x, n), ("q(0, x)", x)
+    yield q_matrix(one, -one, n) == p1_matrix(-one, n), ("q(1, -1)",)
+
+
+def check_upper_triangular(field, n, samples=None):
+    """p1(y), p2(x), q(y, x) and d(y) are upper triangular."""
+    for y, x in _pairs(field, samples, "triangular", n):
+        mats = (p1_matrix(y, n), p2_matrix(x, n), q_matrix(y, x, n), d_matrix(y, n))
+        yield all(mat.is_upper_triangular() for mat in mats), (y, x)
+
+
+def check_matrix_json(field, n, samples=None):
+    """p1(y) and q(y, x) survive matrix_to_json, JSON text and matrix_from_json."""
+    for y, x in _pairs(field, samples, "json", n):
+        for mat in (p1_matrix(y, n), q_matrix(y, x, n)):
+            yield matrix_from_json(json.loads(json.dumps(matrix_to_json(mat)))) == mat, (y, x)
+
+
+def check_factorization(field, n, samples=None):
+    """Where x^2 != 1, p1(z) d(x^2) p1(-z) recomposes q(y, x) exactly and
+    p1(z) p1(-z) = I (``verify_factorization``); where x^2 = 1 it is refused."""
+    for y, x in _pairs(field, samples, "factorize", n):
+        if x * x == field.one():
+            yield _refused(factorize_q, y, x, n), ("x^2 = 1 not refused", y, x)
+        else:
+            yield verify_factorization(factorize_q(y, x, n)), (y, x)
+
+
+def check_eigenpairs(field, n, samples=None):
+    """Where x^2 != 1, q(y, x) v = lambda v for each of the n eigenpairs, and
+    the eigenvectors, the columns of p1(z), have rank n; where x^2 = 1 they are refused."""
+    for y, x in _pairs(field, samples, "eigen", n):
+        if x * x == field.one():
+            yield _refused(eigenpairs, y, x, n), ("x^2 = 1 not refused", y, x)
+            continue
+        q = q_matrix(y, x, n)
+        for j, (lam, vec) in enumerate(eigenpairs(y, x, n)):
+            yield q.apply(vec) == tuple(lam * v for v in vec), ("eigenpair", j + 1, y, x)
+        yield p1_matrix(z_parameter(y, x), n).rank() == n, ("rank", y, x)
+
+
+def check_criterion(field, n):
+    """The closed-form criterion (x^2 != 1 or y = 0) equals the rank oracle for every (y, x)."""
+    for y, x in _pairs(field):
+        yield is_diagonalizable(y, x, n) == diagonalizable_oracle(q_matrix(y, x, n)), (y, x)
+
+
+def check_z_parameter(field, samples=None):
+    """Where x^2 != 1, z(y, x) = -z(-y, x) and z(0, x) = 0."""
+    for y, x in _pairs(field, samples, "z"):
+        if x * x != field.one():
+            yield z_parameter(y, x) == -z_parameter(-y, x) and z_parameter(field.zero(), x).is_zero(), (y, x)
+
+
+def check_order_formula(field, n):
+    """For every (y, x) the closed-form order m equals the brute-force order
+    (the least m with Q^m = I), and Q^(m/l) != I for each prime l dividing m."""
+    for y, x in _pairs(field):
+        formula, brute = q_order(y, x, n), q_order_bruteforce(y, x, n)
+        m, mat = formula.value, q_matrix(y, x, n)
+        yield formula == brute, (formula, brute, y, x)
+        yield all(not (mat ** (m // ell)).is_identity() for ell in set(factor_integer(m))), ("minimal", m, y, x)
+
+
+def check_dimension_independence(field, samples=None):
+    """The closed-form order is the same for n = 2 .. 6, and brute force at n = 5 agrees."""
+    for y, x in _pairs(field, samples, "dim"):
+        base = q_order(y, x, 2)
+        yield all(q_order(y, x, n) == base for n in range(3, 7)), ("formula", y, x)
+        yield q_order_bruteforce(y, x, 5) == base, ("brute force", y, x)
+
+
+def check_specialized_orders(field, n):
+    """p1_order(y) = q_order(y, 1); p2_order(x) = q_order(1, x) = the brute-force
+    order of p2(x); and where x^2 != 1 that is the order of x^2 and of q(0, x)."""
+    one = field.one()
+    for y in field.elements():
+        yield p1_order(y, n) == q_order(y, one, n), ("p1", y)
+    for x in field.nonzero_elements():
+        order = p2_order(x, n)
+        yield order == q_order(one, x, n) == q_order_bruteforce(one, x, n), ("p2", x)
+        if x * x != one:
+            yield order == multiplicative_order(x * x) == q_order(field.zero(), x, n), ("order of x^2", x)
+
+
+def check_rational_orders(cap):
+    """Over qq, q(y, x) for three y != 0 has infinite order and the scan
+    reports exceeded(cap), which agrees; q(0, 1) and q(0, -1) are I, order 1."""
     qq = make_rational_field()
-
-    for f in [_gf(5), make_extension_field(2, 2)]:
-        for n in (2, 4):
-            eye = identity(f, n)
-            for a in f.elements():
-                for b in f.elements():
-                    rep.check(
-                        p1_matrix(a, n) @ p1_matrix(b, n) == p1_matrix(a + b, n),
-                        f"{f}: additive law fails at ({a}, {b}), n={n}",
-                    )
-                rep.check(p1_matrix(a, n) @ p1_matrix(-a, n) == eye, f"{f}: inverse identity fails at {a}")
-
-    for n in (2, 3):
-        for _ in range(10):
-            a, b = qq.random_element(rng), qq.random_element(rng)
-            rep.check(p1_matrix(a, n) @ p1_matrix(b, n) == p1_matrix(a + b, n), f"qq: additive law ({a}, {b})")
-
-    f5 = _gf(5)
-    for alpha in f5.elements():
-        for beta in f5.elements():
-            rep.check(
-                d_matrix(alpha, 3) @ d_matrix(beta, 3) == d_matrix(alpha * beta, 3),
-                f"d multiplicativity fails at ({alpha}, {beta})",
-            )
-        for m in (0, 1, 2, 5):
-            rep.check(d_matrix(alpha, 3) ** m == d_matrix(alpha**m, 3), f"d power fails at {alpha}^{m}")
-
-    for f in [f5, make_extension_field(2, 2)]:
-        one = f.one()
-        for n in (2, 3):
-            for y in f.elements():
-                rep.check(q_matrix(y, one, n) == p1_matrix(y, n), f"{f}: q(y,1) != p1(y) at {y}")
-            for x in f.nonzero_elements():
-                rep.check(q_matrix(one, x, n) == p2_matrix(x, n), f"{f}: q(1,x) != p2(x) at {x}")
-                rep.check(q_matrix(f.zero(), x, n) == d_matrix(x * x, n), f"{f}: q(0,x) != d(x^2) at {x}")
-
-    for f in _small_fields() + [qq]:
-        for m in range(1, 12):
-            for r in range(m + 1):
-                rep.check(
-                    binomial(m, r, f) == binomial(m - 1, r - 1, f) + binomial(m - 1, r, f),
-                    f"{f}: Pascal recurrence fails at ({m}, {r})",
-                )
-
-    for p in (3, 7):
-        f = _gf(p)
-        for _ in range(40):
-            m = rng.randint(0, 200)
-            r = rng.randint(0, 200)
-            expect = _lucas(m, r, p) if r <= m else 0
-            rep.check(binomial(m, r, f) == f.element(expect), f"GF({p}): binomial({m},{r}) != Lucas value")
-
-    for f in [f5, make_extension_field(3, 2)]:
-        for x in f.nonzero_elements():
-            y = f.random_element(rng)
-            for mat in (p1_matrix(y, 4), p2_matrix(x, 4), q_matrix(y, x, 4), d_matrix(x, 4)):
-                rep.check(mat.is_upper_triangular(), f"{f}: constructor not upper triangular at ({y}, {x})")
-    return rep
-
-
-def spectral_suite() -> SuiteReport:
-    rep = SuiteReport("spectral")
-    rng = random.Random(303)
-    qq = make_rational_field()
-
-    for f in [_gf(5), _gf(7)]:
-        one = f.one()
-        for n in (2, 3, 5):
-            for y in f.elements():
-                for x in f.nonzero_elements():
-                    if x * x == one:
-                        continue
-                    rep.check(verify_factorization(factorize_q(y, x, n)), f"{f}: factorization fails at ({y}, {x}, {n})")
-
-    for f in [make_extension_field(3, 2), make_extension_field(2, 2), qq]:
-        for _ in range(15):
-            n = rng.randint(2, 5)
-            y = f.random_element(rng)
-            x = f.random_element(rng, nonzero=True)
-            if x * x == f.one():
-                continue
-            d = factorize_q(y, x, n)
-            rep.check(verify_factorization(d), f"{f}: factorization fails at ({y}, {x}, {n})")
-            q = q_matrix(y, x, n)
-            for lam, vec in eigenpairs(y, x, n):
-                rep.check(q.apply(vec) == tuple(lam * v for v in vec), f"{f}: eigenpair fails at ({y}, {x}, {n})")
-            rep.check(d.left.rank() == n, f"{f}: eigenvector matrix singular at ({y}, {x}, {n})")
-
-    for f in [_gf(3), _gf(5), make_extension_field(2, 2)]:
-        for n in (2, 3, 4):
-            for y in f.elements():
-                for x in f.nonzero_elements():
-                    rep.check(
-                        is_diagonalizable(y, x, n) == diagonalizable_oracle(q_matrix(y, x, n)),
-                        f"{f}: criterion/oracle disagree at ({y}, {x}, {n})",
-                    )
-
-    for f in [_gf(7), qq]:
-        for _ in range(10):
-            y = f.random_element(rng)
-            x = f.random_element(rng, nonzero=True)
-            if x * x == f.one():
-                continue
-            rep.check(z_parameter(y, x) == -z_parameter(-y, x), f"{f}: z antisymmetry fails at ({y}, {x})")
-            rep.check(z_parameter(f.zero(), x).is_zero(), f"{f}: z(0, x) != 0 at {x}")
-    return rep
-
-
-def order_suite() -> SuiteReport:
-    rep = SuiteReport("order-engine")
-    qq = make_rational_field()
-
-    for f in [_gf(2), _gf(3), _gf(5), make_extension_field(2, 2)]:
-        for n in (2, 3, 4):
-            for y in f.elements():
-                for x in f.nonzero_elements():
-                    formula = q_order(y, x, n)
-                    brute = q_order_bruteforce(y, x, n)
-                    rep.check(formula == brute, f"{f}: formula {formula} != brute {brute} at ({y}, {x}, {n})")
-                    m = formula.value
-                    mat = q_matrix(y, x, n)
-                    rep.check((mat**m).is_identity(), f"{f}: Q^{m} != I at ({y}, {x}, {n})")
-                    for ell in set(factor_integer(m)):
-                        rep.check(not (mat ** (m // ell)).is_identity(), f"{f}: order {m} not minimal at ({y}, {x}, {n})")
-
-    f7 = _gf(7)
-    for y in f7.elements():
-        for x in f7.nonzero_elements():
-            base = q_order(y, x, 2)
-            for n in (3, 4, 5):
-                rep.check(q_order(y, x, n) == base, f"dimension dependence at ({y}, {x}, {n})")
-            rep.check(q_order_bruteforce(y, x, 5) == base, f"brute dimension dependence at ({y}, {x})")
-
-    for f in [_gf(5), make_extension_field(2, 2)]:
-        one = f.one()
-        for y in f.elements():
-            rep.check(p1_order(y, 3) == q_order(y, one, 3), f"{f}: p1_order != q_order(., 1) at {y}")
-        for x in f.nonzero_elements():
-            rep.check(p2_order(x, 3) == q_order(one, x, 3), f"{f}: p2_order != q_order(1, .) at {x}")
-
-    one = qq.one()
-    half = qq.element(1) / qq.element(2)
-    cases = [(one, qq.element(2)), (half, qq.element(3)), (qq.element(2), -qq.element(2))]
-    for y, x in cases:
-        rep.check(q_order(y, x, 2).is_infinite, f"qq: expected infinite order at ({y}, {x})")
-        brute = q_order_bruteforce(y, x, 2, cap=50)
-        rep.check(brute.is_exceeded and brute.value == 50, f"qq: expected exceeded(50) at ({y}, {x})")
-        rep.check(oracle_agrees(q_order(y, x, 2), brute), f"qq: oracle_agrees false at ({y}, {x})")
+    one, zero = qq.one(), qq.zero()
+    for y, x in [(one, qq.element(2)), (one / qq.element(2), qq.element(3)), (qq.element(2), -qq.element(2))]:
+        formula, brute = q_order(y, x, 2), q_order_bruteforce(y, x, 2, cap)
+        yield formula.is_infinite and brute.is_exceeded and brute.value == cap, (formula, brute, y, x)
+        yield oracle_agrees(formula, brute), ("disagree", y, x)
     for x in (one, -one):
-        rep.check(q_order(qq.zero(), x, 3) == q_order_bruteforce(qq.zero(), x, 3, cap=5), f"qq: identity case at x={x}")
-        rep.check(q_order(qq.zero(), x, 3).value == 1, f"qq: Q(0, {x}) should have order 1")
-    return rep
+        yield q_order(zero, x, 3) == q_order_bruteforce(zero, x, 3, cap) and q_order(zero, x, 3).value == 1, (x,)
 
 
-def interface_suite() -> SuiteReport:
-    rep = SuiteReport("interfaces")
-    rng = random.Random(404)
-    qq = make_rational_field()
-
-    for f in [_gf(5), make_extension_field(3, 2), qq]:
-        for _ in range(8):
-            n = rng.randint(1, 5)
-            y = f.random_element(rng)
-            x = f.random_element(rng, nonzero=True)
-            for mat in (p1_matrix(y, n), q_matrix(y, x, n)):
-                rebuilt = matrix_from_json(json.loads(json.dumps(matrix_to_json(mat))))
-                rep.check(rebuilt == mat, f"{f}: matrix JSON round trip fails (n={n})")
-
-    import csv as csv_mod
-    import io
+def check_census_formats(field, n):
+    """A verified census finds no mismatch; its CSV and JSON carry the same
+    rows; a second run gives the same CSV bytes."""
 
     def render(write, rows) -> str:
         buf = io.StringIO()
         write(rows, buf)
         return buf.getvalue()
 
-    for f, n in [(_gf(3), 2), (make_extension_field(2, 2), 2)]:
-        mismatches: list[str] = []
-        csv_text = render(census_csv, census_rows(f, n, mismatches))
-        rep.check(not mismatches, f"census verify mismatches over {f}: {mismatches[:3]}")
-        json_rows = json.loads(render(census_json, census_rows(f, n)))["rows"]
-        parsed = list(csv_mod.reader(io.StringIO(csv_text)))
-        rep.check(parsed[0] == ["field", "n", "y", "x", "order", "diagonalizable"], "csv header wrong")
-        rep.check(len(parsed) - 1 == len(json_rows), f"csv/json row count differs over {f}")
-        for line, jrow in zip(parsed[1:], json_rows):
-            same = (
-                line[2] == jrow["y"]
-                and line[3] == jrow["x"]
-                and int(line[4]) == jrow["order"]
-                and (line[5] == "true") == jrow["diagonalizable"]
-            )
-            rep.check(same, f"csv/json data differs over {f}: {line} vs {jrow}")
-        again = render(census_csv, census_rows(f, n))
-        rep.check(again == csv_text, f"census not deterministic across runs over {f}")
-    return rep
+    mismatches: list[str] = []
+    csv_text = render(census_csv, census_rows(field, n, mismatches))
+    yield not mismatches, ("verify", *mismatches[:3])
+    rows = json.loads(render(census_json, census_rows(field, n)))["rows"]
+    lines = list(csv.reader(io.StringIO(csv_text)))
+    yield lines[0] == CSV_HEADER and len(lines) - 1 == len(rows) == field.order * (field.order - 1), ("shape",)
+    for line, row in zip(lines[1:], rows):
+        diag = "true" if row["diagonalizable"] else "false"
+        yield line == [field.spec(), str(n), row["y"], row["x"], str(row["order"]), diag], ("csv/json", line)
+    yield render(census_csv, census_rows(field, n)) == csv_text, ("second run differs",)
 
 
-ALL_SUITES = [field_suite, pascal_suite, spectral_suite, order_suite, interface_suite]
+_gf, _ext, _qq = make_prime_field, make_extension_field, make_rational_field()
+_SMALL = [_gf(3), _gf(5), _gf(7), _ext(2, 2), _ext(3, 2)]
+
+# (check, *domain) runs of ``zhangliu selftest``, by suite
+SUITES = {
+    "field-core": [
+        *((check_element_orders, f) for f in _SMALL),
+        *((check_pow_laws, f, 20) for f in _SMALL + [_qq]),
+        *((check_extension_mul, f) for f in (_ext(3, 2), _ext(2, 3))),
+        *((check_text_round_trip, f) for f in _SMALL), (check_text_round_trip, _qq, 20),
+        (check_factor_integer, 150),
+    ],
+    "pascal-core": [
+        *((check_p1_group_law, f, n) for f in (_gf(5), _ext(2, 2)) for n in (2, 4)),
+        *((check_p1_group_law, _qq, n, 3) for n in (2, 3)),
+        (check_d_matrix, _gf(5), 3),
+        *((check_q_specializations, f, n) for f in (_gf(5), _ext(2, 2)) for n in (2, 3)),
+        *((check_binomial_recurrence, f, 11) for f in _SMALL + [_qq]),
+        *((check_binomial_lucas, _gf(p), 40) for p in (3, 7)),
+        *((check_upper_triangular, f, 4) for f in (_gf(5), _ext(3, 2))),
+    ],
+    "spectral": [
+        *((check_factorization, f, n) for f in (_gf(5), _gf(7)) for n in (2, 3, 5)),
+        *((check, f, n, 5) for check in (check_factorization, check_eigenpairs)
+          for f in (_ext(3, 2), _ext(2, 2), _qq) for n in (2, 5)),
+        *((check_criterion, f, n) for f in (_gf(3), _gf(5), _ext(2, 2)) for n in (2, 3, 4)),
+        (check_z_parameter, _gf(7)),
+        (check_z_parameter, _qq, 10),
+    ],
+    "order-engine": [
+        *((check_order_formula, f, n) for f in (_gf(2), _gf(3), _gf(5), _ext(2, 2)) for n in (2, 3, 4)),
+        (check_dimension_independence, _gf(7)),
+        *((check_specialized_orders, f, 3) for f in (_gf(5), _ext(2, 2))),
+        (check_rational_orders, 50),
+    ],
+    "interfaces": [
+        *((check_matrix_json, f, n, 3) for f in (_gf(5), _ext(3, 2), _qq) for n in (1, 3, 5)),
+        *((check_census_formats, f, 2) for f in (_gf(3), _ext(2, 2))),
+    ],
+}
 
 
 def run_all() -> list[SuiteReport]:
-    return [suite() for suite in ALL_SUITES]
+    reports = [SuiteReport(name) for name in SUITES]
+    for rep in reports:
+        for check, *domain in SUITES[rep.name]:
+            rep.run(check, *domain)
+    return reports

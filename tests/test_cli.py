@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from zhangliu import matrix_from_json
-from zhangliu.cli import main
+from zhangliu.cli import EXIT_CODES, main
 
 
 def run_cli(capsys, *argv):
@@ -331,6 +331,30 @@ def test_a_patched_handler_is_the_one_that_runs(capsys, monkeypatch):
     assert main(ORDER) == 7
     assert seen == ["2"]
     capsys.readouterr()
+
+
+def test_an_untyped_library_error_is_not_reported_as_a_precondition(capsys, monkeypatch):
+    import zhangliu.cli
+
+    def broken(y, x, n):
+        raise ValueError("not a precondition")
+
+    monkeypatch.setitem(zhangliu.cli._MATRIX_KINDS, "q", (broken, 2))
+    with pytest.raises(ValueError, match="not a precondition"):
+        main(["matrix", "--field", "gf:5", "--kind", "q", "--params", "1,2", "--n", "2"])
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("error", sorted(EXIT_CODES, key=lambda cls: cls.__name__))
+def test_each_library_error_class_has_one_exit_code(capsys, monkeypatch, error):
+    import zhangliu.cli
+
+    def failing(args):
+        raise error("message")
+
+    monkeypatch.setattr(zhangliu.cli, "cmd_order", failing)
+    assert main(ORDER) == EXIT_CODES[error]
+    assert capsys.readouterr().err == "error: message\n"
 
 
 def test_importing_the_cli_loads_no_selftest_dataclasses_or_inspect():

@@ -1,9 +1,5 @@
 """Matrix families, binomials in a field, and the exact matrix algebra."""
 
-import json
-import math
-import random
-
 import pytest
 
 from zhangliu import (
@@ -17,11 +13,19 @@ from zhangliu import (
     make_extension_field,
     make_prime_field,
     make_rational_field,
-    matrix_from_json,
     matrix_to_json,
     p1_matrix,
     p2_matrix,
     q_matrix,
+)
+from zhangliu.selftest import (
+    check_binomial_lucas,
+    check_binomial_recurrence,
+    check_d_matrix,
+    check_matrix_json,
+    check_p1_group_law,
+    check_q_specializations,
+    check_upper_triangular,
 )
 
 GF = make_prime_field
@@ -43,33 +47,14 @@ def test_binomial_examples():
     assert binomial(10, 3, QQ).value == 120
 
 
-def test_binomial_pascal_recurrence():
+def test_binomial_pascal_recurrence(holds):
     for f in (GF(3), GF(7), make_extension_field(2, 2), QQ):
-        for m in range(1, 15):
-            for r in range(m + 1):
-                assert binomial(m, r, f) == binomial(m - 1, r - 1, f) + binomial(m - 1, r, f)
+        holds(check_binomial_recurrence, f, 14)
 
 
-def test_binomial_matches_lucas_product():
-    # oracle: Lucas theorem, product of digit binomials base p
-    def lucas(m, r, p):
-        out = 1
-        while m or r:
-            mi, ri = m % p, r % p
-            if ri > mi:
-                return 0
-            out = out * math.comb(mi, ri) % p
-            m //= p
-            r //= p
-        return out
-
-    rng = random.Random(11)
+def test_binomial_matches_lucas_product(holds):
     for p in (2, 3, 5, 7, 13):
-        f = GF(p)
-        for _ in range(60):
-            m = rng.randint(0, 200)
-            r = rng.randint(0, m)
-            assert binomial(m, r, f) == f.element(lucas(m, r, p))
+        holds(check_binomial_lucas, GF(p), 60)
 
 
 def test_p1_matrix_examples():
@@ -111,46 +96,24 @@ def test_d_matrix_examples():
 
 @pytest.mark.parametrize("field", [GF(3), GF(5), make_extension_field(2, 2)])
 @pytest.mark.parametrize("n", [2, 3, 5])
-def test_q_specializations_exhaustive(field, n):
-    one = field.one()
-    zero = field.zero()
-    for y in field.elements():
-        assert q_matrix(y, one, n) == p1_matrix(y, n)
-    for x in field.nonzero_elements():
-        assert q_matrix(one, x, n) == p2_matrix(x, n)
-        assert q_matrix(zero, x, n) == d_matrix(x * x, n)
-        # x = -1 mirrors x = 1 with the sign folded into y
-        assert q_matrix(one, -one, n) == p1_matrix(-one, n)
+def test_q_specializations_exhaustive(holds, field, n):
+    holds(check_q_specializations, field, n)
 
 
-def test_p1_additive_law_and_inverse():
+def test_p1_additive_law_and_inverse(holds):
     for field in (GF(3), GF(7), make_extension_field(3, 2)):
         for n in range(1, 9):
-            eye = identity(field, n)
-            for a in field.elements():
-                for b in field.elements():
-                    assert p1_matrix(a, n) @ p1_matrix(b, n) == p1_matrix(a + b, n)
-                assert p1_matrix(a, n) @ p1_matrix(-a, n) == eye
+            holds(check_p1_group_law, field, n)
 
 
-def test_d_multiplicativity():
-    f = GF(7)
-    for alpha in f.elements():
-        for beta in f.elements():
-            assert d_matrix(alpha, 4) @ d_matrix(beta, 4) == d_matrix(alpha * beta, 4)
-        for m in range(4):
-            assert d_matrix(alpha, 4) ** m == d_matrix(alpha**m, 4)
+def test_d_multiplicativity(holds):
+    holds(check_d_matrix, GF(7), 4)
 
 
-def test_constructors_upper_triangular():
-    rng = random.Random(5)
+def test_constructors_upper_triangular(holds):
     for field in (GF(5), make_extension_field(2, 3), QQ):
-        for _ in range(10):
-            n = rng.randint(1, 6)
-            y = field.random_element(rng)
-            x = field.random_element(rng, nonzero=True)
-            for mat in (p1_matrix(y, n), p2_matrix(x, n), q_matrix(y, x, n), d_matrix(y, n)):
-                assert mat.is_upper_triangular()
+        for n in (1, 4, 6):
+            holds(check_upper_triangular, field, n, 4)
 
 
 def test_matrix_mul_example():
@@ -202,15 +165,9 @@ def test_matrix_apply_and_column():
     assert q.apply(identity(f5, 3).column(0)) == q.column(0)
 
 
-def test_matrix_json_round_trip():
-    rng = random.Random(17)
+def test_matrix_json_round_trip(holds):
     for field in (GF(5), make_extension_field(3, 2), QQ):
-        for _ in range(10):
-            n = rng.randint(1, 5)
-            y = field.random_element(rng)
-            x = field.random_element(rng, nonzero=True)
-            mat = q_matrix(y, x, n)
-            blob = json.dumps(matrix_to_json(mat))
-            assert matrix_from_json(json.loads(blob)) == mat
+        for n in (1, 3, 5):
+            holds(check_matrix_json, field, n, 4)
     payload = matrix_to_json(identity(GF(5), 2))
     assert payload == {"field": "gf:5", "n": 2, "rows": [["1", "0"], ["0", "1"]]}

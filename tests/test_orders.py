@@ -1,6 +1,5 @@
 """Order formula vs brute force, specializations, characteristic-zero cases."""
 
-import random
 from fractions import Fraction
 
 import pytest
@@ -9,7 +8,6 @@ from zhangliu import (
     MixedFields,
     OrderResult,
     ZeroParameter,
-    factor_integer,
     identity,
     is_diagonalizable,
     make_extension_field,
@@ -25,6 +23,7 @@ from zhangliu import (
     q_order,
     q_order_bruteforce,
 )
+from zhangliu.selftest import check_dimension_independence, check_order_formula, check_specialized_orders
 
 GF = make_prime_field
 QQ = make_rational_field()
@@ -92,39 +91,18 @@ def test_p2_order_examples():
     [GF(2), GF(3), GF(5), GF(7), make_extension_field(2, 2), make_extension_field(3, 2)],
 )
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_formula_matches_bruteforce_exhaustive(field, n):
-    for y in field.elements():
-        for x in field.nonzero_elements():
-            formula = q_order(y, x, n)
-            assert formula == q_order_bruteforce(y, x, n)
-            m = formula.value
-            mat = q_matrix(y, x, n)
-            assert (mat**m).is_identity()
-            for ell in set(factor_integer(m)):
-                assert not (mat ** (m // ell)).is_identity()
+def test_formula_matches_bruteforce_exhaustive(holds, field, n):
+    holds(check_order_formula, field, n)
 
 
-def test_dimension_independence():
-    rng = random.Random(41)
-    fields = [GF(5), GF(7), GF(13), make_extension_field(2, 3), make_extension_field(3, 2)]
-    for _ in range(40):
-        field = rng.choice(fields)
-        y = field.random_element(rng)
-        x = field.random_element(rng, nonzero=True)
-        base = q_order(y, x, 2)
-        for n in (3, 4, 5, 6):
-            assert q_order(y, x, n) == base
-        assert q_order_bruteforce(y, x, 4) == base
+def test_dimension_independence(holds):
+    for field in (GF(5), GF(7), GF(13), make_extension_field(2, 3), make_extension_field(3, 2)):
+        holds(check_dimension_independence, field, 8)
 
 
 @pytest.mark.parametrize("field", [GF(3), GF(5), make_extension_field(2, 2)])
-def test_specialization_consistency(field):
-    one = field.one()
-    for y in field.elements():
-        assert p1_order(y, 2) == q_order(y, one, 2)
-    for x in field.nonzero_elements():
-        assert p2_order(x, 2) == q_order(one, x, 2)
-        assert p2_order(x, 2) == q_order_bruteforce(one, x, 2)
+def test_specialization_consistency(holds, field):
+    holds(check_specialized_orders, field, 2)
 
 
 def test_order_over_rationals_finite_iff_identity():

@@ -1,6 +1,5 @@
 """Factorization, eigenpairs, and the diagonalizability criterion vs oracle."""
 
-import random
 from fractions import Fraction
 
 import pytest
@@ -24,6 +23,12 @@ from zhangliu import (
     q_matrix,
     verify_factorization,
     z_parameter,
+)
+from zhangliu.selftest import (
+    check_criterion,
+    check_eigenpairs,
+    check_factorization,
+    check_z_parameter,
 )
 
 GF = make_prime_field
@@ -149,73 +154,35 @@ def test_diagonalizable_oracle_examples():
 
 
 @pytest.mark.parametrize("field", [GF(3), GF(5), GF(7), GF(13)])
-def test_factorization_exhaustive_over_primes(field):
-    one = field.one()
+def test_factorization_exhaustive_over_primes(holds, field):
     for n in (2, 3, 4):
-        for y in field.elements():
-            for x in field.nonzero_elements():
-                if x * x == one:
-                    continue
-                d = factorize_q(y, x, n)
-                assert verify_factorization(d)
-                assert d.left @ d.right == identity(field, n)
+        holds(check_factorization, field, n)
 
 
 @pytest.mark.parametrize("field", [make_extension_field(2, 2), make_extension_field(2, 3), make_extension_field(3, 2)])
-def test_factorization_randomized_over_extensions(field):
-    rng = random.Random(23)
-    one = field.one()
-    hits = 0
-    while hits < 25:
-        n = rng.randint(2, 8)
-        y = field.random_element(rng)
-        x = field.random_element(rng, nonzero=True)
-        if x * x == one:
-            continue
-        hits += 1
-        d = factorize_q(y, x, n)
-        assert verify_factorization(d)
-        q = q_matrix(y, x, n)
-        for lam, vec in eigenpairs(y, x, n):
-            assert q.apply(vec) == tuple(lam * c for c in vec)
-        assert d.left.rank() == n
+def test_factorization_randomized_over_extensions(holds, field):
+    for n in range(2, 9):
+        holds(check_factorization, field, n, 4)
+        holds(check_eigenpairs, field, n, 4)
 
 
-def test_factorization_randomized_over_rationals():
-    rng = random.Random(29)
-    hits = 0
-    while hits < 15:
-        n = rng.randint(2, 6)
-        y = QQ.random_element(rng)
-        x = QQ.random_element(rng, nonzero=True)
-        if x * x == QQ.one():
-            continue
-        hits += 1
-        assert verify_factorization(factorize_q(y, x, n))
+def test_factorization_randomized_over_rationals(holds):
+    for n in range(2, 7):
+        holds(check_factorization, QQ, n, 3)
 
 
 @pytest.mark.parametrize(
     "field",
     [GF(2), GF(3), GF(5), make_extension_field(2, 2), make_extension_field(3, 2)],
 )
-def test_criterion_agrees_with_oracle(field):
+def test_criterion_agrees_with_oracle(holds, field):
     for n in (2, 3, 4):
-        for y in field.elements():
-            for x in field.nonzero_elements():
-                assert is_diagonalizable(y, x, n) == diagonalizable_oracle(q_matrix(y, x, n))
+        holds(check_criterion, field, n)
 
 
-def test_z_antisymmetry():
-    rng = random.Random(31)
+def test_z_antisymmetry(holds):
     for field in (GF(7), GF(13), make_extension_field(3, 2), QQ):
-        one = field.one()
-        for _ in range(20):
-            y = field.random_element(rng)
-            x = field.random_element(rng, nonzero=True)
-            if x * x == one:
-                continue
-            assert z_parameter(y, x) == -z_parameter(-y, x)
-            assert z_parameter(field.zero(), x).is_zero()
+        holds(check_z_parameter, field, 20)
 
 
 def test_decomposition_json():
