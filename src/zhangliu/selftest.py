@@ -151,10 +151,10 @@ def check_binomial_recurrence(field, m_max):
 
 
 def check_binomial_lucas(field, samples):
-    """Over GF(p), C(m, r) is Lucas' digit product (0 for r > m) for sampled 0 <= m, r <= 200."""
+    """Over GF(p), C(m, r) is Lucas' digit product for sampled 0 <= r <= m <= 200."""
     rng = random.Random(f"{field.spec()}/lucas")
-    for _ in range(samples):
-        m, r = rng.randint(0, 200), rng.randint(0, 200)
+    for m in (rng.randint(0, 200) for _ in range(samples)):
+        r = rng.randint(0, m)
         yield binomial(m, r, field) == field.element(_lucas(m, r, field.characteristic)), (m, r)
 
 

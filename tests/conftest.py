@@ -1,26 +1,18 @@
-import functools
-
 import pytest
 
 from zhangliu.selftest import SuiteReport
 
 
-@functools.cache
-def _outcome(check, *domain) -> tuple[int, tuple[str, ...]]:
-    # each (check, domain) is swept once per session, whichever tests share it
-    rep = SuiteReport(check.__name__)
-    rep.run(check, *domain)
-    return rep.checks, tuple(rep.failures)
-
-
 @pytest.fixture
 def holds():
-    """holds(check, *domain): assert that a ``zhangliu.selftest`` check made
-    at least one comparison on the domain and that every comparison held."""
+    """holds(check, *domain): sweep a ``zhangliu.selftest`` check over the
+    domain and assert that it made at least one comparison and that every
+    comparison held."""
 
     def run(check, *domain):
-        checks, failures = _outcome(check, *domain)
-        assert checks, f"{check.__name__} compared nothing on {domain}"
-        assert not failures, f"{len(failures)} failures, first: {failures[:5]}"
+        rep = SuiteReport(check.__name__)
+        rep.run(check, *domain)
+        assert rep.checks, f"{check.__name__} compared nothing on {domain}"
+        assert not rep.failures, f"{len(rep.failures)} failures, first: {rep.failures[:5]}"
 
     return run

@@ -4,10 +4,9 @@
 The sweep of a check here contains every domain that another test in this
 directory, or a selftest suite, runs it on; a sampled domain draws the same
 first inputs whatever its sample count, so a larger count contains a
-smaller one.  The ``holds`` fixture sweeps each (check, domain) once per
-session, so a domain that an earlier test swept is not swept again.  The
-factorization and the order formula keep the wall-time bounds of their
-acceptance criteria, A1 and A4.
+smaller one.  Every sweep here runs in full, whatever other tests ran
+before it, so the wall-time bounds on the factorization and the order
+formula, those of acceptance criteria A1 and A4, time the whole sweep.
 """
 
 import math
