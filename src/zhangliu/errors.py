@@ -58,13 +58,16 @@ class InfiniteField(ZhangLiuError, ValueError):
     """A finite field was required: a census, or a default brute-force cap, over qq."""
 
 
-def check_params(n: int | None = None, x=None, minimum: int = 2) -> None:
+def check_params(n: int | None = None, x=None, minimum: int = 2, y=None) -> None:
     """Raise the error of the first fault, in the order the CLI reports them:
-    n below ``minimum`` (OutOfRange), then x = 0 (ZeroParameter).  None skips a test."""
+    n below ``minimum`` (OutOfRange), then x = 0 (ZeroParameter), then y and
+    x in different fields (MixedFields).  None skips a test."""
     if n is not None and n < minimum:
         raise OutOfRange(f"n must be >= {minimum}")
     if x is not None and x.is_zero():
         raise ZeroParameter("x must be nonzero")
+    if y is not None and y.field is not x.field and y.field != x.field:
+        raise MixedFields("y and x must share a field")
 
 
 def check_cap(cap: int) -> None:

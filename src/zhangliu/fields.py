@@ -13,11 +13,15 @@ Elements are immutable and support ``+ - * / ** ==``; all arithmetic is
 exact.  ``a ** 0`` is one for every ``a`` including zero.  Text forms are
 canonical: ``str(element)`` round-trips through ``parse_element``.
 
-Each field holds one arithmetic kernel for its kind, which works on those
-raw values: ``add``, ``sub``, ``neg``, ``mul``, ``inv``, ``pow``,
-``is_zero``, ``text`` and ``dot(row, col)``.  FieldElement's operators
-unwrap, call it and wrap the result; the matrix layer calls it on raw rows
-without wrapping.  A dot product skips the terms with a zero factor:
+Each field holds one kernel for its kind, which owns those raw values.
+It builds, enumerates, draws, names and parses them: ``element(value)``
+(from an int, a coefficient sequence or a Fraction), ``elements()``,
+``random(rng)``, ``spec()`` and ``parse(text)``.  It does their arithmetic:
+``zero``, ``one``, ``add``, ``sub``, ``neg``, ``mul``, ``inv``, ``pow``,
+``text`` and ``dot(row, col)``.  Values are canonical, so ``v == zero``
+decides zero.  ``Field`` and FieldElement unwrap, call the kernel and wrap
+the result; the matrix layer calls it on raw rows without wrapping.  A dot
+product skips the terms with a zero factor:
 
 * prime: ints reduced by ``% p``; a dot product sums the products and
   reduces once.
@@ -55,21 +59,6 @@ RATIONAL = "rational"
 # Fields larger than this are rejected at construction: factoring q - 1 by
 # trial division and scanning for irreducible moduli must stay fast.
 MAX_FIELD_ORDER = 2**40
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
 
 
 def factor_integer(m: int) -> list[int]:
@@ -152,8 +141,8 @@ def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# arithmetic kernels: one per field kind, on the raw values FieldElement.value
-# holds.  FieldElement's operators and the matrix layer both call them.
+# kernels: one per field kind, owning the raw values FieldElement.value holds.
+# Field, FieldElement's operators and the matrix layer all call them.
 
 
 class _PrimeKernel:
@@ -166,8 +155,25 @@ class _PrimeKernel:
     def __init__(self, p: int):
         self.p = p
 
-    def is_zero(self, a: int) -> bool:
-        return a == 0
+    def element(self, value) -> int:
+        if not isinstance(value, int):
+            raise TypeError(f"prime-field element expects int, got {type(value).__name__}")
+        return value % self.p
+
+    def elements(self) -> range:
+        return range(self.p)
+
+    def random(self, rng) -> int:
+        return rng.randrange(self.p)
+
+    def spec(self) -> str:
+        return f"gf:{self.p}"
+
+    def parse(self, text: str) -> int:
+        try:
+            return int(text) % self.p
+        except ValueError:
+            raise ParseError(f"bad prime-field element {text!r}") from None
 
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.p
@@ -199,8 +205,27 @@ class _RationalKernel:
     text = str
     add, sub, neg, mul, pow = operator.add, operator.sub, operator.neg, operator.mul, operator.pow
 
-    def is_zero(self, a: Fraction) -> bool:
-        return not a
+    def element(self, value) -> Fraction:
+        if isinstance(value, Fraction):
+            return value
+        if isinstance(value, int):
+            return Fraction(value)
+        raise TypeError(f"rational element expects int or Fraction, got {type(value).__name__}")
+
+    def elements(self):
+        raise ValueError("the rational field is not enumerable")
+
+    def random(self, rng) -> Fraction:
+        return Fraction(rng.randint(-20, 20), rng.randint(1, 20))
+
+    def spec(self) -> str:
+        return "qq"
+
+    def parse(self, text: str) -> Fraction:
+        try:
+            return Fraction(text.strip())
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(f"bad rational element {text!r}") from None
 
     def inv(self, a: Fraction) -> Fraction:
         return 1 / a
@@ -229,8 +254,38 @@ class _ExtensionKernel:
         self.zero = (0,) * k
         self.one = (1,) + self.zero[1:]
 
-    def is_zero(self, a) -> bool:
-        return not any(a)
+    def element(self, value) -> tuple[int, ...]:
+        p, k = self.p, self.k
+        if isinstance(value, int):
+            return (value % p,) + self.zero[1:]
+        coeffs = tuple(int(c) % p for c in value)
+        if len(coeffs) > k:
+            raise ValueError(f"at most {k} coefficients expected, got {len(coeffs)}")
+        return coeffs + self.zero[len(coeffs) :]
+
+    def elements(self) -> Iterator[tuple[int, ...]]:
+        return itertools.product(range(self.p), repeat=self.k)
+
+    def random(self, rng) -> tuple[int, ...]:
+        p = self.p
+        return tuple(rng.randrange(p) for _ in range(self.k))
+
+    def spec(self) -> str:
+        return f"gf:{self.p}^{self.k}:m=" + ",".join(map(str, self.modulus))
+
+    def parse(self, text: str) -> tuple[int, ...]:
+        s = text.strip()
+        if not (s.startswith("[") and s.endswith("]")):
+            raise ParseError(f"extension element must be a bracketed list, got {text!r}")
+        body = s[1:-1].strip()
+        try:
+            coeffs = [int(c) for c in body.split(",")] if body else [0]
+        except ValueError:
+            raise ParseError(f"bad coefficient in {text!r}") from None
+        try:
+            return self.element(coeffs)
+        except ValueError as e:
+            raise ParseError(f"bad extension element {text!r}: {e}") from None
 
     def text(self, a) -> str:
         return "[" + ",".join(map(str, a)) + "]"
@@ -308,8 +363,8 @@ class Field(Record):
 
     Two fields compare equal iff kind, characteristic, degree and modulus
     all match.  Instances are immutable and hashable.  Each holds the
-    arithmetic kernel of its kind, built from those four and not part of
-    equality, hashing or repr.
+    kernel of its kind, which owns its values and their arithmetic; it is
+    built from those four and not part of equality, hashing or repr.
     """
 
     __slots__ = ("kind", "characteristic", "extension_degree", "modulus", "_kernel")
@@ -326,79 +381,42 @@ class Field(Record):
 
     @property
     def order(self) -> int | None:
-        """Number of elements, or None for the rationals."""
-        if self.kind == RATIONAL:
-            return None
-        return self.characteristic**self.extension_degree
+        """Number of elements, or None for the rationals (characteristic 0)."""
+        return self.characteristic**self.extension_degree if self.characteristic else None
 
     @property
     def is_finite(self) -> bool:
-        return self.kind != RATIONAL
+        return self.characteristic != 0
 
     def zero(self) -> FieldElement:
-        return self.element(0)
+        return FieldElement(self, self._kernel.zero)
 
     def one(self) -> FieldElement:
-        return self.element(1)
+        return FieldElement(self, self._kernel.one)
 
     def element(self, value) -> FieldElement:
         """Build an element from an int, a coefficient sequence (extension
         fields), or a Fraction (rationals)."""
-        if self.kind == PRIME:
-            if not isinstance(value, int):
-                raise TypeError(f"prime-field element expects int, got {type(value).__name__}")
-            return FieldElement(self, value % self.characteristic)
-        if self.kind == EXTENSION:
-            p = self.characteristic
-            k = self.extension_degree
-            if isinstance(value, int):
-                coeffs = (value % p,) + (0,) * (k - 1)
-            else:
-                coeffs = tuple(int(c) % p for c in value)
-                if len(coeffs) > k:
-                    raise ValueError(f"at most {k} coefficients expected, got {len(coeffs)}")
-                coeffs = coeffs + (0,) * (k - len(coeffs))
-            return FieldElement(self, coeffs)
-        if isinstance(value, Fraction):
-            return FieldElement(self, value)
-        if isinstance(value, int):
-            return FieldElement(self, Fraction(value))
-        raise TypeError(f"rational element expects int or Fraction, got {type(value).__name__}")
+        return FieldElement(self, self._kernel.element(value))
 
     def elements(self) -> Iterator[FieldElement]:
         """All elements of a finite field, in natural (coefficient) order."""
-        if self.kind == PRIME:
-            p = self.characteristic
-            return (FieldElement(self, v) for v in range(p))
-        if self.kind == EXTENSION:
-            p, k = self.characteristic, self.extension_degree
-            return (FieldElement(self, t) for t in itertools.product(range(p), repeat=k))
-        raise ValueError("the rational field is not enumerable")
+        return (FieldElement(self, v) for v in self._kernel.elements())
 
     def nonzero_elements(self) -> Iterator[FieldElement]:
         return (a for a in self.elements() if not a.is_zero())
 
     def random_element(self, rng, nonzero: bool = False) -> FieldElement:
         """Uniform random element (finite fields) or a small random fraction."""
+        kernel = self._kernel
         while True:
-            if self.kind == PRIME:
-                a = FieldElement(self, rng.randrange(self.characteristic))
-            elif self.kind == EXTENSION:
-                p, k = self.characteristic, self.extension_degree
-                a = FieldElement(self, tuple(rng.randrange(p) for _ in range(k)))
-            else:
-                a = FieldElement(self, Fraction(rng.randint(-20, 20), rng.randint(1, 20)))
-            if not (nonzero and a.is_zero()):
-                return a
+            v = kernel.random(rng)
+            if not (nonzero and v == kernel.zero):
+                return FieldElement(self, v)
 
     def spec(self) -> str:
         """Canonical field spec text (parse_field_spec inverts this)."""
-        if self.kind == PRIME:
-            return f"gf:{self.characteristic}"
-        if self.kind == EXTENSION:
-            mod = ",".join(str(c) for c in self.modulus)
-            return f"gf:{self.characteristic}^{self.extension_degree}:m={mod}"
-        return "qq"
+        return self._kernel.spec()
 
     def __str__(self) -> str:
         return self.spec()
@@ -408,7 +426,7 @@ def make_prime_field(p: int) -> Field:
     """The prime field GF(p)."""
     if p > MAX_FIELD_ORDER:
         raise FieldTooLarge(f"field order {p} exceeds ceiling {MAX_FIELD_ORDER}")
-    if not _is_prime(p):
+    if not (p >= 2 and factor_integer(p) == [p]):
         raise NotPrime(f"{p} is not prime")
     return Field(PRIME, p)
 
@@ -426,7 +444,7 @@ def make_extension_field(p: int, k: int, modulus: Sequence[int] | None = None) -
     # bound p and k before p**k and the primality test, which grow with them
     if p > MAX_FIELD_ORDER or k > MAX_FIELD_ORDER.bit_length() or p**k > MAX_FIELD_ORDER:
         raise FieldTooLarge(f"field order {p}^{k} exceeds ceiling {MAX_FIELD_ORDER}")
-    if not _is_prime(p):
+    if not (p >= 2 and factor_integer(p) == [p]):
         raise NotPrime(f"{p} is not prime")
     if modulus is None:
         mod = _smallest_irreducible(p, k)
@@ -528,7 +546,7 @@ def multiplicative_order(a: FieldElement) -> OrderResult:
         raise ZeroElement("zero has no multiplicative order")
     f = a.field
     one = f.one()
-    if f.kind == RATIONAL:
+    if not f.is_finite:
         if a == one:
             return OrderResult.finite(1)
         if a == -one:
@@ -641,25 +659,4 @@ def parse_element(text: str, field: Field) -> FieldElement:
     Prime fields take a decimal integer, extension fields a bracketed
     coefficient list like "[1,0]", the rationals "a" or "a/b".
     """
-    s = text.strip()
-    if field.kind == PRIME:
-        try:
-            return field.element(int(s))
-        except ValueError:
-            raise ParseError(f"bad prime-field element {text!r}") from None
-    if field.kind == EXTENSION:
-        if not (s.startswith("[") and s.endswith("]")):
-            raise ParseError(f"extension element must be a bracketed list, got {text!r}")
-        body = s[1:-1].strip()
-        try:
-            coeffs = [int(c) for c in body.split(",")] if body else [0]
-        except ValueError:
-            raise ParseError(f"bad coefficient in {text!r}") from None
-        try:
-            return field.element(coeffs)
-        except ValueError as e:
-            raise ParseError(f"bad extension element {text!r}: {e}") from None
-    try:
-        return field.element(Fraction(s))
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"bad rational element {text!r}") from None
+    return FieldElement(field, field._kernel.parse(text))

@@ -146,8 +146,8 @@ class SquareMatrix:
         return all(v == (one if i == j else zero) for i, row in enumerate(self.values) for j, v in enumerate(row))
 
     def is_upper_triangular(self) -> bool:
-        is_zero = self.field._kernel.is_zero
-        return all(is_zero(self.values[i][j]) for i in range(self.n) for j in range(i))
+        zero = self.field._kernel.zero
+        return all(self.values[i][j] == zero for i in range(self.n) for j in range(i))
 
     def diagonal(self) -> tuple[FieldElement, ...]:
         return tuple(FieldElement(self.field, self.values[i][i]) for i in range(self.n))
@@ -155,12 +155,12 @@ class SquareMatrix:
     def rank(self) -> int:
         """Rank by exact Gaussian elimination over the field."""
         kernel = self.field._kernel
-        is_zero, mul, sub = kernel.is_zero, kernel.mul, kernel.sub
+        zero, mul, sub = kernel.zero, kernel.mul, kernel.sub
         rows = list(self.values)
         n = self.n
         rank = 0
         for col in range(n):
-            pivot = next((r for r in range(rank, n) if not is_zero(rows[r][col])), None)
+            pivot = next((r for r in range(rank, n) if rows[r][col] != zero), None)
             if pivot is None:
                 continue
             rows[rank], rows[pivot] = rows[pivot], rows[rank]
@@ -168,7 +168,7 @@ class SquareMatrix:
             inv = kernel.inv(top[col])
             for r in range(rank + 1, n):
                 factor = rows[r][col]
-                if is_zero(factor):
+                if factor == zero:
                     continue
                 scale = mul(factor, inv)
                 rows[r] = tuple(sub(a, mul(scale, b)) for a, b in zip(rows[r], top))
@@ -216,9 +216,7 @@ def p2_matrix(x: FieldElement, n: int) -> SquareMatrix:
 
 def q_matrix(y: FieldElement, x: FieldElement, n: int) -> SquareMatrix:
     """Zhang-Liu matrix; specializes to p1 (x=1), p2 (y=1) and d (y=0)."""
-    check_params(n, x, minimum=1)
-    if y.field != x.field:
-        raise MixedFields("y and x must share a field")
+    check_params(n, x, minimum=1, y=y)
     f = x.field
     kernel = f._kernel
     mul, zero = kernel.mul, kernel.zero

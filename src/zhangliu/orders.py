@@ -21,17 +21,15 @@ its own outcome and is never folded into "infinite".
 
 from __future__ import annotations
 
-from .errors import InfiniteField, MixedFields, check_cap, check_params
+from .errors import InfiniteField, check_cap, check_params
 from .fields import FieldElement, OrderResult, multiplicative_order
 from .matrices import identity, q_matrix
 
 
 def q_order(y: FieldElement, x: FieldElement, n: int) -> OrderResult:
     """Closed-form order of q_matrix(y, x, n); independent of n."""
-    check_params(n, x)
+    check_params(n, x, y=y)
     f = x.field
-    if y.field is not f and y.field != f:
-        raise MixedFields("y and x must share a field")
     x2 = x * x
     if x2 != f.one():
         return multiplicative_order(x2)
@@ -59,7 +57,7 @@ def q_order_bruteforce(
     Over a finite field the default cap (characteristic * q^n) always
     suffices; over the rationals a cap must be given.
     """
-    check_params(n, x)
+    check_params(n, x, y=y)
     if cap is None:
         cap = default_cap(y, x, n)
     check_cap(cap)

@@ -16,7 +16,7 @@ The two-sided test x^2 != 1 is used instead of comparing x against 1 and
 
 from __future__ import annotations
 
-from .errors import MixedFields, NotTriangular, SingularParameter, check_params
+from .errors import NotTriangular, SingularParameter, check_params
 from .fields import FieldElement
 from .matrices import SquareMatrix, d_matrix, p1_matrix, q_matrix
 from .records import Record
@@ -24,7 +24,7 @@ from .records import Record
 
 def z_parameter(y: FieldElement, x: FieldElement) -> FieldElement:
     """The similarity parameter y*x / (x^2 - 1); requires x != 0, x^2 != 1."""
-    check_params(x=x)
+    check_params(x=x, y=y)
     one = x.field.one()
     x2 = x * x
     if x2 == one:
@@ -69,7 +69,7 @@ class Decomposition(Record):
 
 def factorize_q(y: FieldElement, x: FieldElement, n: int) -> Decomposition:
     """Eigen-decomposition of q_matrix(y, x, n); requires x^2 != 1, n >= 2."""
-    check_params(n, x)
+    check_params(n, x, y=y)
     z = z_parameter(y, x)
     return Decomposition(
         z=z,
@@ -99,7 +99,7 @@ def eigenpairs(
     Eigenvalues repeat when the order of x^2 is below n; the vectors are
     columns of a unit upper-triangular matrix, hence always independent.
     """
-    check_params(n, x)
+    check_params(n, x, y=y)
     z = z_parameter(y, x)
     vectors = p1_matrix(z, n)
     lam = x.field.one()
@@ -113,9 +113,7 @@ def eigenpairs(
 
 def is_diagonalizable(y: FieldElement, x: FieldElement, n: int) -> bool:
     """Closed-form criterion: x^2 != 1 or y = 0.  No matrix is built."""
-    check_params(n, x)
-    if y.field is not x.field and y.field != x.field:
-        raise MixedFields("y and x must share a field")
+    check_params(n, x, y=y)
     return x * x != x.field.one() or y.is_zero()
 
 

@@ -184,3 +184,61 @@ def test_inverse_of_zero_raises(spec):
         f.zero().inv()
     with pytest.raises(DivisionByZero):
         f.one() / f.zero()
+
+
+# ---------------------------------------------------------------------------
+# what each kernel owns besides arithmetic: building, enumerating, drawing
+# and naming its values
+
+FINITE_SPECS = ["gf:5", "gf:2^3", "gf:3^2:m=2,2,1"]
+
+
+@pytest.mark.parametrize("spec", FINITE_SPECS)
+def test_elements_are_distinct_and_rebuild_from_their_values(spec):
+    f = parse_field_spec(spec)
+    elements = list(f.elements())
+    assert len(set(elements)) == len(elements) == f.order
+    for a in elements:
+        assert f.element(a.value) == a
+
+
+def test_rational_field_refuses_enumeration_at_the_call():
+    with pytest.raises(ValueError) as info:
+        QQ.elements()
+    assert str(info.value) == "the rational field is not enumerable"
+
+
+@pytest.mark.parametrize(
+    "spec,value,message",
+    [
+        ("gf:5", Fraction(1, 2), "prime-field element expects int, got Fraction"),
+        ("qq", 0.5, "rational element expects int or Fraction, got float"),
+    ],
+)
+def test_element_refuses_a_value_of_the_wrong_type(spec, value, message):
+    with pytest.raises(TypeError) as info:
+        parse_field_spec(spec).element(value)
+    assert str(info.value) == message
+
+
+# the seeded selftest domains are drawn with random_element, so these draws must not shift
+DRAWS = {
+    "gf:5": ([2, 1, 3, 0, 0], [2, 1, 3, 4, 2]),
+    "gf:2^3": (
+        [(1, 0, 1), (0, 0, 0), (1, 0, 0), (0, 0, 1), (1, 0, 0)],
+        [(1, 0, 1), (1, 0, 0), (0, 0, 1), (1, 0, 0), (0, 1, 0)],
+    ),
+    "gf:3^2:m=2,2,1": ([(1, 0), (1, 2), (0, 0), (2, 0), (1, 2)], [(1, 0), (1, 2), (2, 0), (1, 2), (0, 2)]),
+    "qq": (
+        [Fraction(0), Fraction(5, 2), Fraction(-8, 9), Fraction(-7, 6), Fraction(17, 2)],
+        [Fraction(5, 2), Fraction(-8, 9), Fraction(-7, 6), Fraction(17, 2), Fraction(12, 7)],
+    ),
+}
+
+
+@pytest.mark.parametrize("spec", DRAWS)
+def test_first_seeded_draws(spec):
+    f = parse_field_spec(spec)
+    for nonzero, expected in zip((False, True), DRAWS[spec]):
+        rng = random.Random(7)
+        assert [f.random_element(rng, nonzero=nonzero).value for _ in range(5)] == expected
