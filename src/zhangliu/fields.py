@@ -18,17 +18,18 @@ It builds, enumerates, draws, names and parses them: ``element(value)``
 (from an int, a coefficient sequence or a Fraction), ``elements()``,
 ``random(rng)``, ``spec()`` and ``parse(text)``.  It does their arithmetic:
 ``zero``, ``one``, ``add``, ``sub``, ``neg``, ``mul``, ``inv``, ``pow``,
-``text`` and ``dot(row, col)``.  Values are canonical, so ``v == zero``
-decides zero.  ``Field`` and FieldElement unwrap, call the kernel and wrap
-the result; the matrix layer calls it on raw rows without wrapping.  A dot
-product skips the terms with a zero factor:
+``scale`` (by an int), ``text`` and ``matmul(A, B)`` on rows of values.
+Values are canonical, so ``v == zero`` decides zero.  ``Field`` and
+FieldElement unwrap, call the kernel and wrap the result; the matrix layer
+calls it on raw rows:
 
-* prime: ints reduced by ``% p``; a dot product sums the products and
-  reduces once.
+* prime: ints reduced by ``% p``; ``matmul`` packs each row of B into one
+  int, so row i of A*B is one sum of a_ik * packed(B_k), unpacked once.
 * extension: schoolbook products reduced by the modulus; the inverse by
-  extended Euclid in GF(p)[t]; a dot product by Kronecker substitution
-  (see ``_ExtensionKernel``), reduced by the modulus once.
-* rational: ``Fraction`` arithmetic; a dot product sums the products.
+  extended Euclid in GF(p)[t]; ``matmul`` packs rows the same way and
+  reduces them by the modulus while packed (see ``_ExtensionKernel``).
+* rational: ``Fraction`` arithmetic; ``matmul`` multiplies integer rows
+  over one common denominator per operand.
 
 Field spec grammar: ``gf:p`` | ``gf:p^k`` (auto modulus) |
 ``gf:p^k:m=c0,c1,...,ck`` (explicit ascending modulus) | ``qq``.
@@ -37,7 +38,10 @@ Field spec grammar: ``gf:p`` | ``gf:p^k`` (auto modulus) |
 from __future__ import annotations
 
 import itertools
+import math
 import operator
+import struct
+import sys
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -141,6 +145,32 @@ def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
+# packed rows: ints in [0, 2**w), w bits each in one int, so that one big-int product does the
+# work of many small ones.  Slot width in bits -> struct code; a big-endian host goes slot by slot.
+_TYPECODES = {struct.calcsize(code) * 8: code for code in "BHIQ"} if sys.byteorder == "little" else {}
+
+
+def _slot_width(bound: int) -> int:
+    """Bits per slot for values up to ``bound``: a power of two >= 8, so that up to 64 bits packing runs in C."""
+    return 1 << max(3, (bound.bit_length() - 1).bit_length())
+
+
+def _pack(values, w: int) -> int:
+    """The int holding the i-th of ``values`` in bits [w*i, w*(i+1))."""
+    if w in _TYPECODES:
+        return int.from_bytes(struct.pack(f"{len(values)}{_TYPECODES[w]}", *values), "little")
+    return int.from_bytes(b"".join(v.to_bytes(w // 8, "little") for v in values), "little")
+
+
+def _unpack(s: int, count: int, w: int):
+    """The ``count`` slots of a packed int, lowest first."""
+    data = s.to_bytes(count * w // 8, "little")
+    if w in _TYPECODES:
+        return memoryview(data).cast(_TYPECODES[w])
+    return [int.from_bytes(data[i : i + w // 8], "little") for i in range(0, len(data), w // 8)]
+
+
+# ---------------------------------------------------------------------------
 # kernels: one per field kind, owning the raw values FieldElement.value holds.
 # Field, FieldElement's operators and the matrix layer all call them.
 
@@ -193,8 +223,13 @@ class _PrimeKernel:
     def pow(self, a: int, e: int) -> int:
         return pow(a, e, self.p)
 
-    def dot(self, row, col) -> int:
-        return sum([a * b for a, b in zip(row, col) if a and b]) % self.p
+    scale = mul
+
+    def matmul(self, A, B) -> tuple[tuple[int, ...], ...]:
+        p, m = self.p, len(B[0])
+        w = _slot_width(len(B) * (p - 1) ** 2)  # a slot of sum_k a_ik * packed(B_k) sums len(B) products
+        packed = [_pack(row, w) for row in B]
+        return tuple(tuple([v % p for v in _unpack(sum([a * b for a, b in zip(r, packed) if a]), m, w)]) for r in A)
 
 
 class _RationalKernel:
@@ -203,7 +238,7 @@ class _RationalKernel:
     __slots__ = ()
     zero, one = Fraction(0), Fraction(1)
     text = str
-    add, sub, neg, mul, pow = operator.add, operator.sub, operator.neg, operator.mul, operator.pow
+    add, sub, neg, mul, pow, scale = operator.add, operator.sub, operator.neg, operator.mul, operator.pow, operator.mul
 
     def element(self, value) -> Fraction:
         if isinstance(value, Fraction):
@@ -230,29 +265,34 @@ class _RationalKernel:
     def inv(self, a: Fraction) -> Fraction:
         return 1 / a
 
-    def dot(self, row, col) -> Fraction:
-        return sum((a * b for a, b in zip(row, col) if a and b), self.zero)
+    def matmul(self, A, B) -> tuple[tuple[Fraction, ...], ...]:
+        # integer rows over one common denominator per operand, one Fraction per entry
+        da, db = (math.lcm(*[v.denominator for row in M for v in row]) for M in (A, B))
+        ia = [[v.numerator * (da // v.denominator) for v in row] for row in A]
+        cols = list(zip(*[[v.numerator * (db // v.denominator) for v in row] for row in B]))
+        return tuple(tuple(Fraction(sum(map(operator.mul, r, c)), da * db) for c in cols) for r in ia)
 
 
 class _ExtensionKernel:
     """GF(p)[t]/(f) for a monic f of degree k, on length-k coefficient tuples.
 
-    ``dot`` uses Kronecker substitution: each tuple is packed into one int
-    with ``(n*k*(p-1)**2).bit_length()`` bits per coefficient, so the
-    product of two packed ints holds the coefficients of the polynomial
-    product, each slot a sum of at most k terms of at most (p-1)**2.  A dot
-    product of length n adds n such products, so no slot exceeds
-    n*k*(p-1)**2, which fits its width: no slot carries into the next.  The
-    sum is unpacked and reduced by the modulus once.
+    ``matmul`` packs each row of B into one int, each entry a block of 2k-1
+    slots with its k coefficients at the bottom, and each entry of A alike.
+    Row i of A*B is then sum_k a_ik * packed(B_k), every slot at most
+    n*k*(p-1)**2, and is reduced by f while packed: from the top, the slot
+    c of degree d >= k is cleared and c * t^(d-k) * (t^k - f) added, which
+    adds c * (-f_t mod p) to slot d-k+t.  The slot width holds the worst
+    case of that growth, so no slot carries into the next.
     """
 
-    __slots__ = ("p", "k", "modulus", "zero", "one")
+    __slots__ = ("p", "k", "modulus", "zero", "one", "low_terms")
 
     def __init__(self, p: int, modulus: Sequence[int]):
         k = len(modulus) - 1
         self.p, self.k, self.modulus = p, k, tuple(modulus)
         self.zero = (0,) * k
         self.one = (1,) + self.zero[1:]
+        self.low_terms = tuple((t, c) for t, c in enumerate(self.modulus[:k]) if c)
 
     def element(self, value) -> tuple[int, ...]:
         p, k = self.p, self.k
@@ -313,14 +353,17 @@ class _ExtensionKernel:
 
     def _reduce(self, conv: list[int]) -> tuple[int, ...]:
         # conv: 2k - 1 coefficients in [0, p), reduced by the monic modulus in place
-        p, k, modulus = self.p, self.k, self.modulus
+        p, k, low_terms = self.p, self.k, self.low_terms
         for d in range(2 * k - 2, k - 1, -1):
             c = conv[d]
             if c:
                 off = d - k
-                for t in range(k):
-                    conv[off + t] = (conv[off + t] - c * modulus[t]) % p
+                for t, m in low_terms:
+                    conv[off + t] = (conv[off + t] - c * m) % p
         return tuple(conv[:k])
+
+    def scale(self, a, c: int):
+        return tuple(v * c % self.p for v in a)
 
     def inv(self, a):
         gcd, s = _poly_xgcd(a, self.modulus, self.p)  # gcd is a nonzero constant
@@ -338,21 +381,32 @@ class _ExtensionKernel:
                 a = self.mul(a, a)
         return result
 
-    def dot(self, row, col):
-        p, k = self.p, self.k
-        w = (len(row) * k * (p - 1) ** 2).bit_length()
-
-        def pack(a):
-            v = 0
-            for c in reversed(a):
-                v = v << w | c
-            return v
-
-        s = sum([pack(x) * pack(y) for x, y in zip(row, col) if any(x) and any(y)])
-        if not s:
-            return self.zero
-        mask = (1 << w) - 1
-        return self._reduce([(s >> (w * i) & mask) % p for i in range(2 * k - 1)])
+    def matmul(self, A, B):
+        p, k, zero = self.p, self.k, self.zero
+        span, m, pad = 2 * k - 1, len(B[0]), zero[1:]
+        bound = [len(B) * k * (p - 1) ** 2] * span  # each slot's worst case, as the reduction adds to it
+        for d in range(span - 1, k - 1, -1):
+            for t, c in self.low_terms:
+                bound[d - k + t] += bound[d] * (-c % p)
+        w = _slot_width(max(bound))
+        packed = [_pack([*itertools.chain(*map(operator.add, row, itertools.repeat(pad)))], w) for row in B]
+        # reduce degrees 2k-2 down to k, gap at a time: a slot d feeds only slots below d - gap + 1
+        gap, ones = k - self.low_terms[-1][0], (1 << w) - 1
+        g = _pack([-c % p for c in self.modulus[:k]], w) - (1 << w * k)
+        steps = []
+        for hi in range(span - 1, k - 1, -gap):
+            lo = max(k, hi - gap + 1)
+            steps.append((w * lo, w * (lo - k), _pack(([ones] * (hi - lo + 1) + [0] * (span - 1 - hi + lo)) * m, w)))
+        out = []
+        for row in A:
+            s = sum([_pack(a, w) * b for a, b in zip(row, packed) if a != zero])
+            for shift, back, mask in steps:
+                c = s >> shift & mask
+                if c:
+                    s += c * g << back
+            slots = _unpack(s, m * span, w)
+            out.append(tuple(tuple([v % p for v in slots[j : j + k]]) for j in range(0, m * span, span)))
+        return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -364,19 +418,39 @@ class Field(Record):
     Two fields compare equal iff kind, characteristic, degree and modulus
     all match.  Instances are immutable and hashable.  Each holds the
     kernel of its kind, which owns its values and their arithmetic; it is
-    built from those four and not part of equality, hashing or repr.
+    built from those four and not part of equality, hashing or repr.  It
+    validates as ``make_*_field`` document, and a kind it does not know, or
+    a degree or modulus that does not fit the kind, raises ValueError.
     """
 
     __slots__ = ("kind", "characteristic", "extension_degree", "modulus", "_kernel")
 
     def __init__(
-        self, kind: str, characteristic: int, extension_degree: int = 1, modulus: tuple[int, ...] | None = None
+        self, kind: str, characteristic: int, extension_degree: int = 1, modulus: Sequence[int] | None = None
     ):
-        super().__init__(kind, characteristic, extension_degree, modulus)
-        if kind == EXTENSION:
-            kernel = _ExtensionKernel(characteristic, modulus)
+        p, k = characteristic, extension_degree
+        if kind == RATIONAL and (p, k, modulus) == (0, 1, None):
+            kernel = _RationalKernel()
+        elif kind == PRIME and (k, modulus) == (1, None) or kind == EXTENSION:
+            if kind == EXTENSION and k < 2:
+                raise ValueError(f"extension degree must be >= 2, got {k}")
+            # bound p and k before p**k and the primality test, which grow with them
+            if p > MAX_FIELD_ORDER or k > MAX_FIELD_ORDER.bit_length() or p**k > MAX_FIELD_ORDER:
+                raise FieldTooLarge(f"field order {p if k == 1 else f'{p}^{k}'} exceeds ceiling {MAX_FIELD_ORDER}")
+            if not (p >= 2 and factor_integer(p) == [p]):
+                raise NotPrime(f"{p} is not prime")
+            if kind == EXTENSION and modulus is None:
+                modulus = _smallest_irreducible(p, k)
+            elif kind == EXTENSION:
+                modulus = tuple(int(c) % p for c in modulus)
+                if len(modulus) != k + 1 or modulus[-1] != 1:
+                    raise ValueError(f"modulus must be monic of degree {k} (ascending, {k + 1} coefficients)")
+                if not _is_irreducible(modulus, p):
+                    raise Reducible(f"modulus {list(modulus)} factors over GF({p})")
+            kernel = _ExtensionKernel(p, modulus) if kind == EXTENSION else _PrimeKernel(p)
         else:
-            kernel = _PrimeKernel(characteristic) if kind == PRIME else _RationalKernel()
+            raise ValueError(f"no {kind!r} field has characteristic {p}, degree {k} and modulus {modulus}")
+        super().__init__(kind, p, k, modulus)
         object.__setattr__(self, "_kernel", kernel)
 
     @property
@@ -424,10 +498,6 @@ class Field(Record):
 
 def make_prime_field(p: int) -> Field:
     """The prime field GF(p)."""
-    if p > MAX_FIELD_ORDER:
-        raise FieldTooLarge(f"field order {p} exceeds ceiling {MAX_FIELD_ORDER}")
-    if not (p >= 2 and factor_integer(p) == [p]):
-        raise NotPrime(f"{p} is not prime")
     return Field(PRIME, p)
 
 
@@ -439,22 +509,7 @@ def make_extension_field(p: int, k: int, modulus: Sequence[int] | None = None) -
     modulus (ascending coefficients, length k+1, monic) is validated for
     irreducibility.
     """
-    if k < 2:
-        raise ValueError(f"extension degree must be >= 2, got {k}")
-    # bound p and k before p**k and the primality test, which grow with them
-    if p > MAX_FIELD_ORDER or k > MAX_FIELD_ORDER.bit_length() or p**k > MAX_FIELD_ORDER:
-        raise FieldTooLarge(f"field order {p}^{k} exceeds ceiling {MAX_FIELD_ORDER}")
-    if not (p >= 2 and factor_integer(p) == [p]):
-        raise NotPrime(f"{p} is not prime")
-    if modulus is None:
-        mod = _smallest_irreducible(p, k)
-    else:
-        mod = tuple(int(c) % p for c in modulus)
-        if len(mod) != k + 1 or mod[-1] != 1:
-            raise ValueError(f"modulus must be monic of degree {k} (ascending, {k + 1} coefficients)")
-        if not _is_irreducible(mod, p):
-            raise Reducible(f"modulus {list(mod)} factors over GF({p})")
-    return Field(EXTENSION, p, k, mod)
+    return Field(EXTENSION, p, k, modulus)
 
 
 _RATIONAL_FIELD = Field(RATIONAL, 0)

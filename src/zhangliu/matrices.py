@@ -15,9 +15,8 @@ elimination over the field.
 A matrix stores its rows as raw values (``FieldElement.value``: an int
 mod p, a coefficient tuple, or a Fraction).  The builders, ``@``, ``-``,
 ``==``, ``rank`` and the other whole-matrix operations run on them through
-the field's arithmetic kernel (see ``fields``); a product entry is one
-kernel dot product, which over an extension field packs each tuple into
-one int (Kronecker substitution) and reduces by the modulus once.
+the field's arithmetic kernel (see ``fields``); ``@`` and ``apply`` are one
+kernel ``matmul`` each, which over a finite field packs each row into one int.
 """
 
 from __future__ import annotations
@@ -105,9 +104,7 @@ class SquareMatrix:
 
     def __matmul__(self, other: SquareMatrix) -> SquareMatrix:
         self._compatible(other)
-        dot = self.field._kernel.dot
-        cols = list(zip(*other.values))
-        return SquareMatrix.from_values(self.field, tuple(tuple(dot(r, c) for c in cols) for r in self.values))
+        return SquareMatrix.from_values(self.field, self.field._kernel.matmul(self.values, other.values))
 
     def __sub__(self, other: SquareMatrix) -> SquareMatrix:
         self._compatible(other)
@@ -137,8 +134,8 @@ class SquareMatrix:
         if len(vector) != self.n:
             raise DimensionMismatch(f"vector length {len(vector)} != {self.n}")
         f = self.field
-        column = tuple(v.value for v in vector)
-        return tuple(FieldElement(f, f._kernel.dot(row, column)) for row in self.values)
+        product = f._kernel.matmul(self.values, tuple((v.value,) for v in vector))
+        return tuple(FieldElement(f, v) for (v,) in product)
 
     def is_identity(self) -> bool:
         kernel = self.field._kernel
@@ -218,13 +215,14 @@ def q_matrix(y: FieldElement, x: FieldElement, n: int) -> SquareMatrix:
     """Zhang-Liu matrix; specializes to p1 (x=1), p2 (y=1) and d (y=0)."""
     check_params(n, x, minimum=1, y=y)
     f = x.field
-    kernel = f._kernel
-    mul, zero = kernel.mul, kernel.zero
-    ypow = _powers(kernel, y.value, n)
-    xpow = _powers(kernel, x.value, 2 * n - 1)
+    kernel, char = f._kernel, f.characteristic
+    mul, scale, zero = kernel.mul, kernel.scale, kernel.zero
+    comb = (lambda j, i: math.comb(j, i) % char) if char else math.comb
+    # entry (i, j) is C(j, i) * (xy)^(j-i) * (x^2)^i, 0-based; C(j, i) = 0 for j < i
+    xypow = _powers(kernel, mul(x.value, y.value), n)
+    x2pow = _powers(kernel, mul(x.value, x.value), n)
     rows = tuple(
-        tuple(mul(binomial(j, i, f).value, mul(ypow[j - i], xpow[j + i])) if j >= i else zero for j in range(n))
-        for i in range(n)
+        tuple(scale(mul(xypow[j - i], x2pow[i]), c) if (c := comb(j, i)) else zero for j in range(n)) for i in range(n)
     )
     return SquareMatrix.from_values(f, rows)
 

@@ -40,7 +40,7 @@ def q_order(y: FieldElement, x: FieldElement, n: int) -> OrderResult:
     return OrderResult.infinite()
 
 
-def default_cap(y: FieldElement, x: FieldElement, n: int) -> int:
+def default_cap(x: FieldElement, n: int) -> int:
     """Safe brute-force cap for a finite field: characteristic * q^n."""
     f = x.field
     if not f.is_finite:
@@ -59,7 +59,7 @@ def q_order_bruteforce(
     """
     check_params(n, x, y=y)
     if cap is None:
-        cap = default_cap(y, x, n)
+        cap = default_cap(x, n)
     check_cap(cap)
     q = q_matrix(y, x, n)
     eye = identity(x.field, n)

@@ -10,7 +10,7 @@ larger count draws the smaller count's inputs first.
 
 ``SUITES`` lists the desk-scale domains that ``zhangliu selftest`` runs (under a
 second); ``tests/test_invariants.py`` runs the same functions on larger ones.
-The oracles ``_naive_ext_mul`` and ``_lucas`` share no code with the library.
+The oracles ``_naive_ext_mul``, ``_lucas`` and ``_q_formula`` share no code with what they check.
 """
 
 from __future__ import annotations
@@ -87,6 +87,13 @@ def _naive_ext_mul(a, b):
             conv[shift + t] = (conv[shift + t] - lead * mod[t]) % p
         conv.pop()
     return f.element(conv)
+
+
+def _q_formula(y, x, n):
+    """The rows of q(y, x) from its entries C(j, i) * y^(j-i) * x^(i+j), 0-based, with 0^0 = 1."""
+    f = x.field
+    entry = lambda i, j: binomial(j, i, f) * y ** (j - i) * x ** (i + j) if j >= i else f.zero()  # noqa: E731
+    return tuple(tuple(entry(i, j) for j in range(n)) for i in range(n))
 
 
 def _lucas(m, r, p):
@@ -178,12 +185,12 @@ def check_d_matrix(field, n):
 
 
 def check_q_specializations(field, n):
-    """q(y, 1) = p1(y), q(1, x) = p2(x), q(0, x) = d(x^2) and q(1, -1) = p1(-1)."""
+    """p1(y) and p2(x) are the entry formula of q(y, 1) and q(1, x); q(0, x) = d(x^2); q(1, -1) = p1(-1)."""
     one, zero = field.one(), field.zero()
     for y in field.elements():
-        yield q_matrix(y, one, n) == p1_matrix(y, n), ("q(y, 1)", y)
+        yield p1_matrix(y, n).rows == _q_formula(y, one, n), ("q(y, 1)", y)
     for x in field.nonzero_elements():
-        yield q_matrix(one, x, n) == p2_matrix(x, n), ("q(1, x)", x)
+        yield p2_matrix(x, n).rows == _q_formula(one, x, n), ("q(1, x)", x)
         yield q_matrix(zero, x, n) == d_matrix(x * x, n), ("q(0, x)", x)
     yield q_matrix(one, -one, n) == p1_matrix(-one, n), ("q(1, -1)",)
 

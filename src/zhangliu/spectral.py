@@ -69,7 +69,7 @@ class Decomposition(Record):
 
 def factorize_q(y: FieldElement, x: FieldElement, n: int) -> Decomposition:
     """Eigen-decomposition of q_matrix(y, x, n); requires x^2 != 1, n >= 2."""
-    check_params(n, x, y=y)
+    check_params(n)  # z_parameter checks x and y
     z = z_parameter(y, x)
     return Decomposition(
         z=z,
@@ -99,9 +99,8 @@ def eigenpairs(
     Eigenvalues repeat when the order of x^2 is below n; the vectors are
     columns of a unit upper-triangular matrix, hence always independent.
     """
-    check_params(n, x, y=y)
-    z = z_parameter(y, x)
-    vectors = p1_matrix(z, n)
+    check_params(n)  # z_parameter checks x and y
+    vectors = p1_matrix(z_parameter(y, x), n)
     lam = x.field.one()
     x2 = x * x
     out = []

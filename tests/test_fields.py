@@ -8,6 +8,7 @@ import pytest
 
 from zhangliu import (
     DivisionByZero,
+    Field,
     FieldTooLarge,
     MixedFields,
     NotPrime,
@@ -52,6 +53,36 @@ def test_make_extension_field_explicit_modulus():
         make_extension_field(3, 1)
     with pytest.raises(ValueError):
         make_extension_field(3, 2, [1, 0, 2])  # not monic
+
+
+@pytest.mark.parametrize(
+    "args,error,message",
+    [
+        # an unknown kind used to get the rational kernel while reporting order 5
+        (("bogus", 5), ValueError, "no 'bogus' field has characteristic 5, degree 1 and modulus None"),
+        # a composite characteristic used to give a ring with zero divisors
+        (("prime", 4), NotPrime, "4 is not prime"),
+        (("prime", 2**41 + 1), FieldTooLarge, f"field order {2**41 + 1} exceeds ceiling {2**40}"),
+        (("prime", 5, 2), ValueError, "no 'prime' field has characteristic 5, degree 2 and modulus None"),
+        (("prime", 5, 1, (1, 1)), ValueError, "no 'prime' field has characteristic 5, degree 1 and modulus (1, 1)"),
+        (("rational", 5), ValueError, "no 'rational' field has characteristic 5, degree 1 and modulus None"),
+        (("extension", 3, 1), ValueError, "extension degree must be >= 2, got 1"),
+        (("extension", 4, 2), NotPrime, "4 is not prime"),
+        (("extension", 2, 41), FieldTooLarge, f"field order 2^41 exceeds ceiling {2**40}"),
+        (("extension", 3, 2, (1, 0)), ValueError, "modulus must be monic of degree 2 (ascending, 3 coefficients)"),
+        (("extension", 3, 2, (0, 0, 1)), Reducible, "modulus [0, 0, 1] factors over GF(3)"),
+    ],
+)
+def test_field_constructor_validates_like_the_make_functions(args, error, message):
+    with pytest.raises(error) as info:
+        Field(*args)
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_field_constructor_builds_what_the_make_functions_build():
+    assert Field("prime", 5) == GF(5)
+    assert Field("extension", 3, 2) == make_extension_field(3, 2) == Field("extension", 3, 2, [4, 0, 1])
+    assert Field("rational", 0) == QQ
 
 
 @pytest.mark.parametrize(

@@ -1,12 +1,13 @@
 """The per-kind arithmetic kernels against element-wise references.
 
-``SquareMatrix`` keeps raw values and multiplies them with its field's
-kernel (``dot``, by Kronecker substitution over extension fields).  The
-references here are written with FieldElement operators, entry by entry,
-so every matrix operation is checked against a second path through the
-field arithmetic.
+``SquareMatrix`` keeps raw values and multiplies them with one call of its
+field's kernel ``matmul``, on rows packed into ints over finite fields.
+The references here are written with FieldElement operators, entry by
+entry, so every matrix operation is checked against a second path through
+the field arithmetic.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -139,13 +140,43 @@ def test_dense_rational_matrices_match_the_elementwise_reference(n, data):
     assert all(type(e.value) is Fraction for row in (a @ b).rows for e in row)
 
 
+def is_canonical(f, v):
+    if f.kind == "prime":
+        return type(v) is int and 0 <= v < f.characteristic
+    if f.kind == "extension":
+        k, p = f.extension_degree, f.characteristic
+        return type(v) is tuple and len(v) == k and all(type(c) is int and 0 <= c < p for c in v)
+    return type(v) is Fraction and v.denominator > 0 and math.gcd(v.numerator, v.denominator) == 1
+
+
+# products over these two need slots wider than 64 bits
+WIDE_SPECS = ["gf:1048573^2", "gf:1099511627689"]
+
+
+@pytest.mark.parametrize("spec", SPECS + WIDE_SPECS)
+def test_dense_products_match_the_elementwise_reference(spec):
+    f = parse_field_spec(spec)
+    rng = random.Random(spec)
+    for n in range(1, 17):
+        a, b = (SquareMatrix(f, [[f.random_element(rng) for _ in range(n)] for _ in range(n)]) for _ in range(2))
+        v = [f.random_element(rng) for _ in range(n)]
+        product, image = a @ b, a.apply(v)
+        assert product.rows == ref_matmul(a, b), n
+        assert image == ref_apply(a, v), n
+        assert all(is_canonical(f, x) for row in product.values for x in row)
+        assert all(is_canonical(f, x.value) for x in image)
+
+
 # ---------------------------------------------------------------------------
-# worst-case Kronecker carries: every coefficient p - 1, so every slot of a
-# packed dot product reaches its bound n*k*(p-1)^2
+# worst-case carries: every coefficient p - 1, so the unreduced slots of a
+# packed row reach n*k*(p-1)^2; over gf:5^2:m=1,1,1 every negated low
+# coefficient of the modulus is p - 1 too, and gf:2^40 has the most slots
 
 
 @pytest.mark.parametrize("n", [1, 16])
-@pytest.mark.parametrize("spec", ["gf:2^12", "gf:13^4", "gf:7^5", "gf:3^2:m=2,2,1", "gf:251"])
+@pytest.mark.parametrize(
+    "spec", ["gf:2^12", "gf:13^4", "gf:7^5", "gf:3^2:m=2,2,1", "gf:5^2:m=1,1,1", "gf:2^40", "gf:251", *WIDE_SPECS]
+)
 def test_all_max_coefficients_do_not_carry(spec, n):
     f = parse_field_spec(spec)
     p = f.characteristic

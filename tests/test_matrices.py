@@ -16,9 +16,12 @@ from zhangliu import (
     matrix_to_json,
     p1_matrix,
     p2_matrix,
+    parse_field_spec,
     q_matrix,
 )
 from zhangliu.selftest import (
+    _pairs,
+    _q_formula,
     check_binomial_lucas,
     check_binomial_recurrence,
     check_d_matrix,
@@ -83,6 +86,22 @@ def test_q_matrix_examples():
         q_matrix(f5.element(1), f5.zero(), 3)
     with pytest.raises(MixedFields):
         q_matrix(f5.element(1), f7.element(1), 2)
+
+
+# every (y, x) at n <= 6 on small fields, sampled pairs at n = 16 on larger ones
+Q_FORMULA_DOMAINS = {
+    **{spec: (None, range(1, 7)) for spec in ("gf:5", "gf:2^3", "gf:3^2:m=2,2,1")},
+    **{spec: (6, [16]) for spec in ("qq", "gf:2^12", "gf:7^5")},
+}
+
+
+@pytest.mark.parametrize("spec", Q_FORMULA_DOMAINS)
+def test_q_matrix_is_the_entry_formula(spec):
+    f = parse_field_spec(spec)
+    samples, ns = Q_FORMULA_DOMAINS[spec]
+    for y, x in _pairs(f, samples, "q formula"):
+        for n in ns:
+            assert q_matrix(y, x, n).rows == _q_formula(y, x, n), (y, x, n)
 
 
 def test_d_matrix_examples():
