@@ -26,8 +26,9 @@ calls it on raw rows:
 * prime: ints reduced by ``% p``; ``matmul`` packs each row of B into one
   int, so row i of A*B is one sum of a_ik * packed(B_k), unpacked once.
 * extension: schoolbook products reduced by the modulus; the inverse by
-  extended Euclid in GF(p)[t]; ``matmul`` packs rows the same way and
-  reduces them by the modulus while packed (see ``_ExtensionKernel``).
+  extended Euclid in GF(p)[t]; ``matmul`` packs rows the same way, unpacks
+  each entry's unreduced product once and reduces it as ``mul`` does (see
+  ``_ExtensionKernel``).
 * rational: ``Fraction`` arithmetic; ``matmul`` multiplies integer rows
   over one common denominator per operand.
 
@@ -41,7 +42,6 @@ import itertools
 import math
 import operator
 import struct
-import sys
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -146,8 +146,8 @@ def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
 
 # ---------------------------------------------------------------------------
 # packed rows: ints in [0, 2**w), w bits each in one int, so that one big-int product does the
-# work of many small ones.  Slot width in bits -> struct code; a big-endian host goes slot by slot.
-_TYPECODES = {struct.calcsize(code) * 8: code for code in "BHIQ"} if sys.byteorder == "little" else {}
+# work of many small ones.  Slot width in bits -> little-endian struct code, wider slots go one by one.
+_TYPECODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
 
 
 def _slot_width(bound: int) -> int:
@@ -158,7 +158,7 @@ def _slot_width(bound: int) -> int:
 def _pack(values, w: int) -> int:
     """The int holding the i-th of ``values`` in bits [w*i, w*(i+1))."""
     if w in _TYPECODES:
-        return int.from_bytes(struct.pack(f"{len(values)}{_TYPECODES[w]}", *values), "little")
+        return int.from_bytes(struct.pack(f"<{len(values)}{_TYPECODES[w]}", *values), "little")
     return int.from_bytes(b"".join(v.to_bytes(w // 8, "little") for v in values), "little")
 
 
@@ -166,7 +166,7 @@ def _unpack(s: int, count: int, w: int):
     """The ``count`` slots of a packed int, lowest first."""
     data = s.to_bytes(count * w // 8, "little")
     if w in _TYPECODES:
-        return memoryview(data).cast(_TYPECODES[w])
+        return struct.unpack(f"<{count}{_TYPECODES[w]}", data)
     return [int.from_bytes(data[i : i + w // 8], "little") for i in range(0, len(data), w // 8)]
 
 
@@ -276,13 +276,12 @@ class _RationalKernel:
 class _ExtensionKernel:
     """GF(p)[t]/(f) for a monic f of degree k, on length-k coefficient tuples.
 
-    ``matmul`` packs each row of B into one int, each entry a block of 2k-1
-    slots with its k coefficients at the bottom, and each entry of A alike.
-    Row i of A*B is then sum_k a_ik * packed(B_k), every slot at most
-    n*k*(p-1)**2, and is reduced by f while packed: from the top, the slot
-    c of degree d >= k is cleared and c * t^(d-k) * (t^k - f) added, which
-    adds c * (-f_t mod p) to slot d-k+t.  The slot width holds the worst
-    case of that growth, so no slot carries into the next.
+    Every product is reduced by f in ``_reduce``, the one place that knows
+    how.  ``matmul`` packs each row of B into one int, each entry a block of
+    2k-1 slots with its k coefficients at the bottom, and each entry of A
+    alike.  Row i of A*B is then sum_k a_ik * packed(B_k), every slot at
+    most n*k*(p-1)**2, so slots as wide as that bound never carry; each
+    block is unpacked, taken mod p and passed to ``_reduce``.
     """
 
     __slots__ = ("p", "k", "modulus", "zero", "one", "low_terms")
@@ -382,30 +381,14 @@ class _ExtensionKernel:
         return result
 
     def matmul(self, A, B):
-        p, k, zero = self.p, self.k, self.zero
+        p, k, zero, reduce = self.p, self.k, self.zero, self._reduce
         span, m, pad = 2 * k - 1, len(B[0]), zero[1:]
-        bound = [len(B) * k * (p - 1) ** 2] * span  # each slot's worst case, as the reduction adds to it
-        for d in range(span - 1, k - 1, -1):
-            for t, c in self.low_terms:
-                bound[d - k + t] += bound[d] * (-c % p)
-        w = _slot_width(max(bound))
+        w = _slot_width(len(B) * k * (p - 1) ** 2)  # a slot of sum_k a_ik * packed(B_k) sums len(B) * k products
         packed = [_pack([*itertools.chain(*map(operator.add, row, itertools.repeat(pad)))], w) for row in B]
-        # reduce degrees 2k-2 down to k, gap at a time: a slot d feeds only slots below d - gap + 1
-        gap, ones = k - self.low_terms[-1][0], (1 << w) - 1
-        g = _pack([-c % p for c in self.modulus[:k]], w) - (1 << w * k)
-        steps = []
-        for hi in range(span - 1, k - 1, -gap):
-            lo = max(k, hi - gap + 1)
-            steps.append((w * lo, w * (lo - k), _pack(([ones] * (hi - lo + 1) + [0] * (span - 1 - hi + lo)) * m, w)))
         out = []
         for row in A:
-            s = sum([_pack(a, w) * b for a, b in zip(row, packed) if a != zero])
-            for shift, back, mask in steps:
-                c = s >> shift & mask
-                if c:
-                    s += c * g << back
-            slots = _unpack(s, m * span, w)
-            out.append(tuple(tuple([v % p for v in slots[j : j + k]]) for j in range(0, m * span, span)))
+            slots = _unpack(sum([_pack(a, w) * b for a, b in zip(row, packed) if a != zero]), m * span, w)
+            out.append(tuple([reduce([v % p for v in slots[j : j + span]]) for j in range(0, m * span, span)]))
         return tuple(out)
 
 

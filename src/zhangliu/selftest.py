@@ -129,10 +129,11 @@ def check_pow_laws(field, samples):
         yield a ** (e1 + e2) == a**e1 * a**e2, (a, e1, e2)
 
 
-def check_extension_mul(field):
-    """Every product in GF(p^k) equals the convolution-and-long-division oracle."""
-    for a in field.elements():
-        for b in field.elements():
+def check_extension_mul(field, samples=None):
+    """Every product of two (sampled) elements of GF(p^k) equals the convolution-and-long-division oracle."""
+    elems = _elements(field, samples, "mul")
+    for a in elems:
+        for b in elems:
             yield a * b == _naive_ext_mul(a, b), (a, b)
 
 
@@ -264,16 +265,17 @@ def check_dimension_independence(field, samples=None):
 
 
 def check_specialized_orders(field, n):
-    """p1_order(y) = q_order(y, 1); p2_order(x) = q_order(1, x) = the brute-force
-    order of p2(x); and where x^2 != 1 that is the order of x^2 and of q(0, x)."""
+    """p1_order(y) is the brute-force order of q(y, 1) = p1(y); p2_order(x) is
+    that of q(1, x) = p2(x); and where x^2 != 1 it is the order of x^2 and the
+    brute-force order of q(0, x)."""
     one = field.one()
     for y in field.elements():
-        yield p1_order(y, n) == q_order(y, one, n), ("p1", y)
+        yield p1_order(y, n) == q_order_bruteforce(y, one, n), ("p1", y)
     for x in field.nonzero_elements():
         order = p2_order(x, n)
-        yield order == q_order(one, x, n) == q_order_bruteforce(one, x, n), ("p2", x)
+        yield order == q_order_bruteforce(one, x, n), ("p2", x)
         if x * x != one:
-            yield order == multiplicative_order(x * x) == q_order(field.zero(), x, n), ("order of x^2", x)
+            yield order == multiplicative_order(x * x) == q_order_bruteforce(field.zero(), x, n), ("order of x^2", x)
 
 
 def check_rational_orders(cap):

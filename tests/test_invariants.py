@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from zhangliu import make_extension_field, make_prime_field, make_rational_field
+from zhangliu import make_extension_field, make_prime_field, make_rational_field, parse_field_spec
 from zhangliu import selftest as st
 
 GF, EXT, QQ = make_prime_field, make_extension_field, make_rational_field()
@@ -33,7 +33,11 @@ SPECTRAL = [
 SWEEPS = {
     st.check_element_orders: [(f,) for f in PRIMES + EXTENSIONS],
     st.check_pow_laws: [(f, 30) for f in FINITE + [QQ]],
-    st.check_extension_mul: [(f,) for f in (EXT(2, 3), EXT(3, 2), EXT(5, 2))],
+    st.check_extension_mul: [
+        *((f,) for f in (EXT(2, 3), EXT(3, 2), EXT(5, 2))),
+        # sampled: test_kernels.py checks matmul over these against a reference that shares this product
+        *((parse_field_spec(spec), 20) for spec in ("gf:2^12", "gf:7^5", "gf:13^4", "gf:3^2:m=2,2,1", "gf:2^40")),
+    ],
     st.check_text_round_trip: [*((f,) for f in FINITE), (QQ, 50)],
     st.check_factor_integer: [(300,)],
     st.check_binomial_recurrence: [(f, 14) for f in FINITE + [QQ]],

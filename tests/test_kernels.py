@@ -4,7 +4,9 @@
 field's kernel ``matmul``, on rows packed into ints over finite fields.
 The references here are written with FieldElement operators, entry by
 entry, so every matrix operation is checked against a second path through
-the field arithmetic.
+the field arithmetic.  Over GF(p^k) both paths reduce by the modulus in
+the kernel's one reduction; tests/test_invariants.py and the carry test
+below check it against ``_naive_ext_mul``, which shares no code with it.
 """
 
 import math
@@ -20,6 +22,7 @@ from zhangliu import (
     make_rational_field,
     parse_field_spec,
 )
+from zhangliu.selftest import _naive_ext_mul
 
 QQ = make_rational_field()
 SPECS = ["gf:2", "gf:7", "gf:251", "gf:2^4", "gf:3^3", "gf:3^2:m=2,2,1", "gf:13^4", "gf:7^5", "gf:2^12", "qq"]
@@ -149,7 +152,8 @@ def is_canonical(f, v):
     return type(v) is Fraction and v.denominator > 0 and math.gcd(v.numerator, v.denominator) == 1
 
 
-# products over these two need slots wider than 64 bits
+# the largest characteristics: products over gf:1099511627689 need slots wider
+# than 64 bits, and gf:1048573^2, the largest p of an extension, fits 64-bit slots
 WIDE_SPECS = ["gf:1048573^2", "gf:1099511627689"]
 
 
@@ -169,8 +173,8 @@ def test_dense_products_match_the_elementwise_reference(spec):
 
 # ---------------------------------------------------------------------------
 # worst-case carries: every coefficient p - 1, so the unreduced slots of a
-# packed row reach n*k*(p-1)^2; over gf:5^2:m=1,1,1 every negated low
-# coefficient of the modulus is p - 1 too, and gf:2^40 has the most slots
+# packed row reach their bound n*k*(p-1)^2; gf:2^40 has the most slots, and
+# over gf:5^2:m=1,1,1 every negated low coefficient of the modulus is p - 1
 
 
 @pytest.mark.parametrize("n", [1, 16])
@@ -184,8 +188,10 @@ def test_all_max_coefficients_do_not_carry(spec, n):
     a = SquareMatrix(f, [[top] * n for _ in range(n)])
     assert (a @ a).rows == ref_matmul(a, a)
     assert a.apply([top] * n) == ref_apply(a, [top] * n)
-    # n * top^2 in every entry
+    # n * top^2 in every entry, top^2 checked against the oracle over GF(p^k)
     square = top * top
+    if f.kind == "extension":
+        assert square == _naive_ext_mul(top, top)
     assert (a @ a)[0, 0] == sum([square] * n, f.zero())
 
 

@@ -22,11 +22,6 @@ from zhangliu import (
 from zhangliu.selftest import (
     _pairs,
     _q_formula,
-    check_binomial_lucas,
-    check_binomial_recurrence,
-    check_d_matrix,
-    check_matrix_json,
-    check_p1_group_law,
     check_q_specializations,
     check_upper_triangular,
 )
@@ -48,16 +43,6 @@ def test_binomial_examples():
         assert binomial(3, -1, f) == f.zero()
         assert binomial(3, 4, f) == f.zero()
     assert binomial(10, 3, QQ).value == 120
-
-
-def test_binomial_pascal_recurrence(holds):
-    for f in (GF(3), GF(7), make_extension_field(2, 2), QQ):
-        holds(check_binomial_recurrence, f, 14)
-
-
-def test_binomial_matches_lucas_product(holds):
-    for p in (2, 3, 5, 7, 13):
-        holds(check_binomial_lucas, GF(p), 60)
 
 
 def test_p1_matrix_examples():
@@ -119,16 +104,6 @@ def test_q_specializations_exhaustive(holds, field, n):
     holds(check_q_specializations, field, n)
 
 
-def test_p1_additive_law_and_inverse(holds):
-    for field in (GF(3), GF(7), make_extension_field(3, 2)):
-        for n in range(1, 9):
-            holds(check_p1_group_law, field, n)
-
-
-def test_d_multiplicativity(holds):
-    holds(check_d_matrix, GF(7), 4)
-
-
 def test_constructors_upper_triangular(holds):
     for field in (GF(5), make_extension_field(2, 3), QQ):
         for n in (1, 4, 6):
@@ -184,9 +159,6 @@ def test_matrix_apply_and_column():
     assert q.apply(identity(f5, 3).column(0)) == q.column(0)
 
 
-def test_matrix_json_round_trip(holds):
-    for field in (GF(5), make_extension_field(3, 2), QQ):
-        for n in (1, 3, 5):
-            holds(check_matrix_json, field, n, 4)
+def test_matrix_to_json_example():
     payload = matrix_to_json(identity(GF(5), 2))
     assert payload == {"field": "gf:5", "n": 2, "rows": [["1", "0"], ["0", "1"]]}
