@@ -82,15 +82,15 @@ def census_rows(
     check_params(n)
     if mismatches is not None and cap is not None:
         check_cap(cap)
-    ys = sorted(field.elements(), key=str)
-    xs = sorted(field.nonzero_elements(), key=str)
-    x_texts = [str(x) for x in xs]
+    named = sorted((str(a), a) for a in field.elements())  # texts are unique, so no two elements are compared
+    xs = [a for _, a in named if a]
+    x_texts = [text for text, a in named if a]
     table = {
         y.is_zero(): [(q_order(y, x, n), is_diagonalizable(y, x, n)) for x in xs] for y in (field.zero(), field.one())
     }
 
     def blocks() -> Iterator[list[Row]]:
-        for y in ys:
+        for y_text, y in named:
             entries = table[y.is_zero()]
             if mismatches is not None:
                 for x, (order, diag) in zip(xs, entries):
@@ -99,10 +99,9 @@ def census_rows(
                         mismatches.append(f"order mismatch at (y={y}, x={x}): formula={order}, oracle={brute}")
                     if diag != diagonalizable_oracle(q_matrix(y, x, n)):
                         mismatches.append(f"diagonalizability mismatch at (y={y}, x={x}): criterion={diag}")
-            y_text = str(y)
             yield [(y_text, x, order.value, diag) for x, (order, diag) in zip(x_texts, entries)]
 
-    return CensusRows(field, n, [str(y) for y in ys], x_texts, table, blocks())
+    return CensusRows(field, n, [text for text, _ in named], x_texts, table, blocks())
 
 
 def census_csv(rows: CensusRows, out: TextIO) -> None:

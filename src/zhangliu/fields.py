@@ -116,15 +116,23 @@ def _poly_xgcd(a: Sequence[int], f: Sequence[int], p: int) -> tuple[list[int], l
     return r0, _poly_trim(s0)
 
 
+def _power(a, e: int, one, mul):
+    """a^e for an int e >= 0 by square-and-multiply, with ``one`` as a^0."""
+    result = one
+    while e:
+        if e & 1:
+            result = mul(result, a)
+        e >>= 1
+        if e:
+            a = mul(a, a)
+    return result
+
+
 def _is_irreducible(f: Sequence[int], p: int) -> bool:
-    """Rabin test for a monic f: x^(p^k) = x mod f, and gcd(x^(p^(k/l)) - x, f) = 1
-    for every prime l dividing k.  The powers are taken in GF(p)[t]/(f)."""
-    f = _poly_trim([c % p for c in f])
+    """Rabin test for a monic f of degree k >= 2 with coefficients in [0, p):
+    x^(p^k) = x mod f, and gcd(x^(p^(k/l)) - x, f) = 1 for every prime l
+    dividing k.  The powers are taken in GF(p)[t]/(f)."""
     k = len(f) - 1
-    if k < 1:
-        return False
-    if k == 1:
-        return True
     ring = _ExtensionKernel(p, f)
     x = (0, 1) + (0,) * (k - 2)
     for ell in sorted(set(factor_integer(k))):
@@ -371,14 +379,7 @@ class _ExtensionKernel:
 
     def pow(self, a, e: int):
         # e >= 0: FieldElement.__pow__ turns a negative exponent into one of the inverse
-        result = self.one
-        while e:
-            if e & 1:
-                result = self.mul(result, a)
-            e >>= 1
-            if e:
-                a = self.mul(a, a)
-        return result
+        return _power(a, e, self.one, self.mul)
 
     def matmul(self, A, B):
         p, k, zero, reduce = self.p, self.k, self.zero, self._reduce

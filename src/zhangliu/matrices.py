@@ -22,10 +22,11 @@ kernel ``matmul`` each, which over a finite field packs each row into one int.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Sequence
 
 from .errors import DimensionMismatch, MixedFields, check_params
-from .fields import Field, FieldElement, parse_element, parse_field_spec
+from .fields import Field, FieldElement, _power, parse_element, parse_field_spec
 
 
 def binomial(m: int, r: int, field: Field) -> FieldElement:
@@ -116,15 +117,7 @@ class SquareMatrix:
     def __pow__(self, e: int) -> SquareMatrix:
         if not isinstance(e, int) or e < 0:
             raise ValueError("matrix exponent must be an integer >= 0")
-        result = identity(self.field, self.n)
-        base = self
-        while e:
-            if e & 1:
-                result = result @ base
-            e >>= 1
-            if e:
-                base = base @ base
-        return result
+        return _power(self, e, identity(self.field, self.n), operator.matmul)
 
     def column(self, j: int) -> tuple[FieldElement, ...]:
         return tuple(FieldElement(self.field, row[j]) for row in self.values)

@@ -3,11 +3,11 @@
 For x outside {1, -1} the matrix q_matrix(y, x, n) is similar to the
 diagonal d_matrix(x^2, n) via the unit upper-triangular p1_matrix(z, n)
 with z = y*x / (x^2 - 1); the inverse of p1_matrix(z, n) is
-p1_matrix(-z, n).  ``factorize_q`` constructs that triple,
-``eigenpairs`` reads off the eigenvalues (x^2)^(j-1) with the columns of
-p1_matrix(z, n) as eigenvectors, and ``is_diagonalizable`` implements the
-closed-form criterion (x^2 != 1 or y = 0) that ``diagonalizable_oracle``
-double-checks by rank computations.
+p1_matrix(-z, n).  ``factorize_q`` constructs that triple, and
+``eigenpairs`` reads it off: the eigenvalues (x^2)^(j-1) are the diagonal
+of the middle factor and the eigenvectors are the columns of the left one.
+``is_diagonalizable`` implements the closed-form criterion (x^2 != 1 or
+y = 0) that ``diagonalizable_oracle`` double-checks by rank computations.
 
 The two-sided test x^2 != 1 is used instead of comparing x against 1 and
 -1 separately; in characteristic 2 the pair collapses to the single value
@@ -95,19 +95,13 @@ def eigenpairs(
 ) -> list[tuple[FieldElement, tuple[FieldElement, ...]]]:
     """The n exact eigenpairs of q_matrix(y, x, n) for x^2 != 1.
 
-    Pair j (1-based) is ((x^2)^(j-1), column j of p1_matrix(z, n)).
+    Read off factorize_q: pair j (1-based) is entry j of the diagonal
+    d_matrix(x^2, n), which is (x^2)^(j-1), with column j of p1_matrix(z, n).
     Eigenvalues repeat when the order of x^2 is below n; the vectors are
     columns of a unit upper-triangular matrix, hence always independent.
     """
-    check_params(n)  # z_parameter checks x and y
-    vectors = p1_matrix(z_parameter(y, x), n)
-    lam = x.field.one()
-    x2 = x * x
-    out = []
-    for j in range(n):
-        out.append((lam, vectors.column(j)))
-        lam = lam * x2
-    return out
+    d = factorize_q(y, x, n)
+    return [(lam, d.left.column(j)) for j, lam in enumerate(d.middle.diagonal())]
 
 
 def is_diagonalizable(y: FieldElement, x: FieldElement, n: int) -> bool:

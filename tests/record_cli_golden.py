@@ -153,8 +153,9 @@ def cases() -> list[str]:
         "order --field gf:5 --y 1 --x 2",
         "selftest",
     ]
-    # extension fields of degree 4, 5 and 12, where a product reduces each
-    # packed row in several steps: factorize at n = 16, the oracle at n = 4
+    # extension fields of degree 4, 5 and 12, where a product unpacks wide
+    # rows of 2k - 1 slots per entry and reduces every entry by the modulus:
+    # factorize at n = 16, the oracle at n = 4
     out += [
         "factorize --field gf:2^12 --y [1,1,0,1,0,0,1,1,1,0,1,1] --x [0,1,0,1,0,0,0,0,0,0,1,0] --n 16 --format json",
         "factorize --field gf:7^5 --y [3,1,4,1,5] --x [2,6,5,3,5] --n 16 --format json",

@@ -173,8 +173,10 @@ def test_dense_products_match_the_elementwise_reference(spec):
 
 # ---------------------------------------------------------------------------
 # worst-case carries: every coefficient p - 1, so the unreduced slots of a
-# packed row reach their bound n*k*(p-1)^2; gf:2^40 has the most slots, and
-# over gf:5^2:m=1,1,1 every negated low coefficient of the modulus is p - 1
+# packed row reach their bound n*k*(p-1)^2; gf:2^40 has the most slots.  The
+# modulus acts only after the slots are unpacked and taken mod p, so the bound
+# does not depend on it; the dense moduli of gf:3^2:m=2,2,1 and gf:5^2:m=1,1,1
+# make the one reduction subtract every low term of the modulus
 
 
 @pytest.mark.parametrize("n", [1, 16])

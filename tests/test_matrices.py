@@ -122,8 +122,17 @@ def test_matrix_pow():
     assert q**2 == identity(f5, 3)
     assert q**0 == identity(f5, 3)
     assert q**5 == q @ q @ q @ q @ q
-    with pytest.raises(ValueError):
-        q**-1
+    # the shared square-and-multiply against repeated products, on every field kind
+    for spec in ("gf:5", "gf:3^2:m=2,2,1", "qq"):
+        f = parse_field_spec(spec)
+        y, x = _pairs(f, 1, "pow")[0]
+        q = q_matrix(y, x, 3)
+        power = identity(f, 3)
+        for e in range(7):
+            assert q**e == power, (spec, e)
+            power = power @ q
+        with pytest.raises(ValueError):
+            q**-1
 
 
 def test_matrix_rank():

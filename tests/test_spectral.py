@@ -24,12 +24,7 @@ from zhangliu import (
     verify_factorization,
     z_parameter,
 )
-from zhangliu.selftest import (
-    check_criterion,
-    check_eigenpairs,
-    check_factorization,
-    check_z_parameter,
-)
+from zhangliu.selftest import check_criterion, check_factorization
 
 GF = make_prime_field
 QQ = make_rational_field()
@@ -159,18 +154,6 @@ def test_factorization_exhaustive_over_primes(holds, field):
         holds(check_factorization, field, n)
 
 
-@pytest.mark.parametrize("field", [make_extension_field(2, 2), make_extension_field(2, 3), make_extension_field(3, 2)])
-def test_factorization_randomized_over_extensions(holds, field):
-    for n in range(2, 9):
-        holds(check_factorization, field, n, 4)
-        holds(check_eigenpairs, field, n, 4)
-
-
-def test_factorization_randomized_over_rationals(holds):
-    for n in range(2, 7):
-        holds(check_factorization, QQ, n, 3)
-
-
 @pytest.mark.parametrize(
     "field",
     [GF(2), GF(3), GF(5), make_extension_field(2, 2), make_extension_field(3, 2)],
@@ -178,11 +161,6 @@ def test_factorization_randomized_over_rationals(holds):
 def test_criterion_agrees_with_oracle(holds, field):
     for n in (2, 3, 4):
         holds(check_criterion, field, n)
-
-
-def test_z_antisymmetry(holds):
-    for field in (GF(7), GF(13), make_extension_field(3, 2), QQ):
-        holds(check_z_parameter, field, 20)
 
 
 def test_decomposition_json():
